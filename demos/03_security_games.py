@@ -15,9 +15,9 @@ from sebq.cipher import keygen
 from sebq.games import (
     ExhaustiveCpaStrategy,
     OracleSession,
-    PlainScheme,
     RandomGuessStrategy,
     RepeatedMessageCpaStrategy,
+    Scheme,
     TableRecoveryCcaStrategy,
     cca_table_recovery,
     cpa_column_recovery,
@@ -58,14 +58,14 @@ print("     column, a perfect distinguisher")
 # --- the column recovery in isolation --------------------------------------------
 rng = random.Random(4)
 key = keygen(2, 55)
-session = OracleSession(PlainScheme(key, 1), rng, bit=0, chosen_iv=True)
+session = OracleSession(Scheme(key, 1), rng, bit=0, chosen_iv=True)
 column = cpa_column_recovery(session, m=3)
 print("\nrecovered column for message 3:", column)
 print("true table column            :", [int(v) for v in key.q.mul.table[:, 3]])
 
 # --- chosen-ciphertext: table recovery --------------------------------------------
 print("\nchosen-ciphertext table recovery (k=4, order 16)")
-scheme = PlainScheme(keygen(4, rng.randrange(2**63)), 1)
+scheme = Scheme(keygen(4, rng.randrange(2**63)), 1)
 session = OracleSession(scheme, rng, bit=0, decryption=True)
 session.issue_challenge((5,), (9,))
 rec = cca_table_recovery(session)
@@ -78,11 +78,12 @@ print("  game advantage vs plain:   ", res)
 
 res = run_ind_cca(TableRecoveryCcaStrategy, make_scheme_factory("cca2", 4, 1), TRIALS, seed=6)
 print("  game advantage vs hardened:", res)
+# the same scheme type, now with the keyed sponge as its expander
 scheme = make_scheme_factory("cca2", 4, 1)(rng)
 session = OracleSession(scheme, rng, bit=0, decryption=True)
 session.issue_challenge((5,), (9,))
 rec = cca_table_recovery(session)
-cells = rec.recovered_cells(scheme.key.base.q.mul.table)
+cells = rec.recovered_cells(scheme.key.q.mul.table)
 print(f"  hardened scheme leaks only {cells}/256 cells at the same query budget:")
 print("  expanding each leader seed through the keyed sponge means oracle")
 print("  answers no longer read single table cells back out")

@@ -20,6 +20,7 @@ from scipy.special import gammaincc
 
 from sebq.cipher import SebqKey, encrypt, keygen, pack_bits
 from sebq.latin import Quasigroup, SeedLike, as_rng, intercalate_swap
+from sebq.transforms import _encrypt_chain
 
 __all__ = [
     "TestReport",
@@ -488,33 +489,31 @@ OPCOUNT_DISCREPANCY_NOTE = (
 )
 
 
+class _CountingRows:
+    """Table rows that count how many times the loop reads one."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.rows[i]
+
+
 def instrumented_counts(key: SebqKey, iv: Sequence[int], message: Sequence[int]) -> tuple[int, int]:
     """Count the table lookups and checksum XORs an encryption actually does.
 
-    Returns ``(lookups, xors)``; the chained loop performs ``n*l`` lookups
-    and ``(n-1)*l`` XOR block-operations.
+    Runs the cipher's own chained loop over a counting view of the table.
+    Returns ``(lookups, xors)``; the loop performs ``n*l`` lookups and
+    ``(n-1)*l`` XOR block-operations.
     """
     if not iv:
         raise ValueError("iv must hold at least one block")
-    mul = key.q.mul_rows
-    state = list(iv)
-    n = len(state)
-    lookups = 0
-    xors = 0
-    for m in message:
-        acc = m
-        x = 0
-        for i in range(n):
-            acc = mul[state[i]][acc]
-            lookups += 1
-            state[i] = acc
-            if i:
-                x ^= acc
-                xors += 1
-            else:
-                x = acc
-        state[n - 1] = x
-    return lookups, xors
+    rows = _CountingRows(key.q.mul_rows)
+    _encrypt_chain(rows, iv, message)
+    # each block's checksum XORs together its n chain values, one per lookup
+    return rows.reads, rows.reads - len(message)
 
 
 # -- minimum secure order --------------------------------------------------------

@@ -2,18 +2,20 @@
 
 Key generation from random Latin squares of power-of-two order, the
 per-block encrypt/decrypt maps with their chained leader state, the
-whole-message double-loop kernels, and the bit-packing / padding plumbing
-that connects k-bit symbols to byte streams.
+whole-message maps (plain, or with a leader expander per block), and the
+bit-packing / padding plumbing that connects k-bit symbols to byte
+streams.  The chained step itself lives in :mod:`sebq.transforms`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from sebq.latin import LatinSquare, Quasigroup, SeedLike, random_latin_square
+from sebq.transforms import _check_symbols, _decrypt_chain, _encrypt_chain, compress_fold
 
 __all__ = [
     "MAX_SYMBOL_BITS",
@@ -33,6 +35,9 @@ __all__ = [
 
 # an order-256 table is 64 KiB; 2**16 would be gigabytes
 MAX_SYMBOL_BITS = 8
+
+# maps a leader seed to the leader one block runs under (an Expander's expand)
+Expand = Callable[[Sequence[int]], Sequence[int]]
 
 
 class PaddingError(ValueError):
@@ -55,6 +60,11 @@ class SebqKey:
     @property
     def order(self) -> int:
         return self.q.order
+
+    @property
+    def base(self) -> "SebqKey":
+        """The key itself, so ``key.base`` is the table for plain and hardened keys alike."""
+        return self
 
     @classmethod
     def from_square(cls, square: LatinSquare) -> "SebqKey":
@@ -91,105 +101,79 @@ def keygen(k: int, seed: SeedLike = None) -> SebqKey:
     return SebqKey(Quasigroup.from_square(square), k)
 
 
-def _check_blocks(key: SebqKey, blocks: Sequence[int], what: str) -> None:
-    if blocks and not (0 <= min(blocks) and max(blocks) < key.order):
-        bad = next(b for b in blocks if not 0 <= b < key.order)
-        raise ValueError(f"{what} symbol {bad} out of range 0..{key.order - 1}")
+def _check_input(key: SebqKey, iv: Sequence[int], blocks: Sequence[int], what: str) -> None:
+    if not iv:
+        raise ValueError("iv must hold at least one block")
+    _check_symbols(key.order, iv, "iv")
+    _check_symbols(key.order, blocks, what)
 
 
 def encrypt_block(key: SebqKey, m: int, state: CipherState) -> tuple[int, CipherState]:
     """Encrypt one block: fold through the leader, then advance the leader."""
-    _check_blocks(key, (m,), "message")
-    _check_blocks(key, state.leader, "state")
-    mul = key.q.mul_rows
-    acc = m
-    chain = []
-    x = 0
-    for r in state.leader:
-        acc = mul[r][acc]
-        chain.append(acc)
-        x ^= acc
-    chain[-1] = x
-    return acc, CipherState(tuple(chain))
+    _check_symbols(key.order, (m,), "message")
+    _check_symbols(key.order, state.leader, "state")
+    (c,), leader = _encrypt_chain(key.q.mul_rows, state.leader, (m,))
+    return c, CipherState(leader)
 
 
 def decrypt_block(key: SebqKey, c: int, state: CipherState) -> tuple[int, CipherState]:
     """Invert :func:`encrypt_block`; the returned state matches the encrypt side."""
-    _check_blocks(key, (c,), "ciphertext")
-    _check_blocks(key, state.leader, "state")
-    ldiv = key.q.ldiv_rows
-    leader = state.leader
-    n = len(leader)
-    chain = [0] * n
-    u = c
-    x = c
-    for i in range(n - 1, 0, -1):
-        u = ldiv[leader[i]][u]
-        chain[i - 1] = u
-        x ^= u
-    m = ldiv[leader[0]][u]
-    chain[-1] = x
-    return m, CipherState(tuple(chain))
+    _check_symbols(key.order, (c,), "ciphertext")
+    _check_symbols(key.order, state.leader, "state")
+    (m,), leader = _decrypt_chain(key.q.ldiv_rows, state.leader, (c,))
+    return m, CipherState(leader)
 
 
-def encrypt(key: SebqKey, iv: Sequence[int], message: Sequence[int]) -> list[int]:
+def _run(chain, rows, iv: Sequence[int], blocks: Sequence[int], expand: Expand | None) -> list[int]:
+    """Run ``chain`` over ``blocks``, plain or with a leader expander.
+
+    Without ``expand`` the chain runs over the whole string under the IV.
+    With it, each block runs under its own leader ``expand(seed)`` and the
+    advanced leader is XOR-folded back to seed width for the next block;
+    the first seed is the IV.  The branch stays outside the per-block loop,
+    so the plain path pays nothing for the expander.
+    """
+    if expand is None:
+        return chain(rows, iv, blocks)[0]
+    width = len(iv)
+    seed = iv
+    out = []
+    append = out.append
+    for b in blocks:
+        (y,), leader = chain(rows, expand(seed), (b,))
+        append(y)
+        seed = compress_fold(leader, width)
+    return out
+
+
+def encrypt(
+    key: SebqKey, iv: Sequence[int], message: Sequence[int], expand: Expand | None = None
+) -> list[int]:
     """Encrypt a block sequence under an initial leader vector.
 
     Runs the chained double loop: per message block, fold through the
     current leader while recording the chain, emit the last chain value as
-    ciphertext, then XOR-checksum the chain into the next leader.  The
-    ``iv`` itself is unmodified and must travel with the ciphertext.
+    ciphertext, then XOR-checksum the chain into the next leader.  With
+    ``expand`` (an expander's ``expand`` method) this is the
+    chosen-ciphertext-hardened mode: every block's leader is ``expand`` of
+    a seed that starts at ``iv``.  The ``iv`` itself is unmodified and must
+    travel with the ciphertext.
     """
-    if not iv:
-        raise ValueError("iv must hold at least one block")
-    _check_blocks(key, iv, "iv")
-    _check_blocks(key, message, "message")
-    mul = key.q.mul_rows
-    state = list(iv)
-    n = len(state)
-    last = n - 1
-    out = []
-    append = out.append
-    for m in message:
-        acc = m
-        x = 0
-        for i in range(n):
-            acc = mul[state[i]][acc]
-            state[i] = acc
-            x ^= acc
-        append(acc)
-        state[last] = x
-    return out
+    _check_input(key, iv, message, "message")
+    return _run(_encrypt_chain, key.q.mul_rows, iv, message, expand)
 
 
-def decrypt(key: SebqKey, iv: Sequence[int], ciphertext: Sequence[int]) -> list[int]:
-    """Invert :func:`encrypt` for the same key and IV.
+def decrypt(
+    key: SebqKey, iv: Sequence[int], ciphertext: Sequence[int], expand: Expand | None = None
+) -> list[int]:
+    """Invert :func:`encrypt` for the same key, IV and expander.
 
     Rebuilds the encrypt-side chain from the top down with the
     left-division table, so the internal state sequence matches the
     encrypt run block for block.
     """
-    if not iv:
-        raise ValueError("iv must hold at least one block")
-    _check_blocks(key, iv, "iv")
-    _check_blocks(key, ciphertext, "ciphertext")
-    ldiv = key.q.ldiv_rows
-    state = list(iv)
-    n = len(state)
-    out = []
-    append = out.append
-    for c in ciphertext:
-        new = [0] * n
-        u = c
-        x = c
-        for i in range(n - 1, 0, -1):
-            u = ldiv[state[i]][u]
-            new[i - 1] = u
-            x ^= u
-        append(ldiv[state[0]][u])
-        new[n - 1] = x
-        state = new
-    return out
+    _check_input(key, iv, ciphertext, "ciphertext")
+    return _run(_decrypt_chain, key.q.ldiv_rows, iv, ciphertext, expand)
 
 
 def _check_k(k: int) -> None:

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from sebq import analysis, formats, games
-from sebq.cipher import MAX_SYMBOL_BITS, PaddingError, keygen
+from sebq.cipher import MAX_SYMBOL_BITS, PaddingError, keygen, unpack_bits
 from sebq.latin import as_rng
 
 EXIT_OK = 0
@@ -66,16 +66,17 @@ def cmd_encrypt(args) -> int:
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read input: {exc}")
     iv = None
-    if args.iv_hex is not None:
-        from sebq.cipher import unpack_bits
-
-        raw = bytes.fromhex(args.iv_hex)
-        if len(raw) * 8 < args.n * key.k:
-            return _fail(EXIT_USAGE, "--iv-hex too short for n blocks")
-        iv = unpack_bits(raw, key.k, args.n)
-    frame = formats.seal_bytes(
-        key, data, n=args.n, seed=args.seed, iv=iv, scheme=args.scheme, a=args.a
-    )
+    try:
+        if args.iv_hex is not None:
+            raw = bytes.fromhex(args.iv_hex)
+            if len(raw) * 8 < args.n * key.k:
+                return _fail(EXIT_USAGE, "--iv-hex too short for n blocks")
+            iv = unpack_bits(raw, key.k, args.n)
+        frame = formats.seal_bytes(
+            key, data, n=args.n, seed=args.seed, iv=iv, scheme=args.scheme, a=args.a
+        )
+    except ValueError as exc:
+        return _fail(EXIT_USAGE, str(exc))
     try:
         with open(args.out, "wb") as fp:
             fp.write(frame)
@@ -218,7 +219,7 @@ def cmd_attack_cpa_column(args) -> int:
         return _fail(EXIT_USAGE, f"--message must be in 0..{order - 1}")
     rng = as_rng(args.seed)
     key = keygen(args.k, rng.randrange(2**63))
-    scheme = games.PlainScheme(key, 1)
+    scheme = games.Scheme(key, 1)
     session = games.OracleSession(scheme, rng, chosen_iv=True)
     column = games.cpa_column_recovery(session, args.message)
     truth = [int(key.q.mul.table[r, args.message]) for r in range(order)]
@@ -243,11 +244,7 @@ def cmd_attack_cca_recover(args) -> int:
     session = games.OracleSession(scheme, rng, bit=rng.randrange(2), decryption=True)
     session.issue_challenge((0,), (1 % order,))
     recovery = games.cca_table_recovery(session)
-    truth = (
-        scheme.key.q.mul.table
-        if args.scheme == "plain"
-        else scheme.key.base.q.mul.table
-    )
+    truth = scheme.key.q.mul.table
     cells = recovery.recovered_cells(truth)
     total = order * order
     print(

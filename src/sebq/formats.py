@@ -153,11 +153,11 @@ class CipherFrame:
 
     @property
     def payload_blocks(self) -> int:
-        # 10* padding always adds at least one bit
-        return (self.bit_length + 1 + self.k - 1) // self.k
+        return _padded_block_count(self.bit_length, self.k)
 
 
 def _padded_block_count(bit_length: int, k: int) -> int:
+    # 10* padding always adds at least one bit
     return (bit_length + 1 + k - 1) // k
 
 
@@ -204,6 +204,8 @@ def decode_frame(data: bytes) -> CipherFrame:
         raise FrameError(f"unsupported frame version {version}")
     if not 1 <= k <= 8 or n < 1:
         raise FrameError(f"bad frame parameters k={k} n={n}")
+    if version == FRAME_V2 and a < 2:
+        raise FrameError(f"bad expander length a={a}")
     iv_len = (n * k + 7) // 8
     blocks = _padded_block_count(bit_length, k)
     payload_len = (blocks * k + 7) // 8
@@ -238,20 +240,19 @@ def seal_bytes(
     else:
         iv = list(iv)
         n = len(iv)
-    bits = _bytes_to_bits(data)
-    blocks = pad(bits, key.k)
     if scheme == "plain":
-        ct = encrypt(key, iv, blocks)
-        return encode_frame(key, iv, len(bits), pack_bits(ct, key.k))
-    if scheme == "cca2":
+        a = expand = None
+    elif scheme == "cca2":
         if a is None:
             a = 2 * n
-        cca2 = feistel.Cca2Key(key, feistel.QuasigroupSponge(key.q, a))
-        ct = feistel.encrypt_cca2(cca2, iv, blocks)
-        return encode_frame(
-            key, iv, len(bits), pack_bits(ct, key.k), a=a, expander_id=EXPANDER_SPONGE
-        )
-    raise ValueError(f"unknown scheme {scheme!r}")
+        expand = feistel.QuasigroupSponge(key.q, a).expand
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    bits = _bytes_to_bits(data)
+    # the header first: it rejects an IV or expander length the frame cannot hold
+    head = encode_frame(key, iv, len(bits), b"", a=a)
+    ct = encrypt(key, iv, pad(bits, key.k), expand)
+    return head + pack_bits(ct, key.k)
 
 
 def open_bytes(key: SebqKey, frame_bytes: bytes) -> bytes:
@@ -259,17 +260,13 @@ def open_bytes(key: SebqKey, frame_bytes: bytes) -> bytes:
     frame = decode_frame(frame_bytes)
     if frame.k != key.k:
         raise KeyMismatch(f"frame k={frame.k} but key k={key.k}")
+    if frame.expander_id != EXPANDER_SPONGE:
+        raise FrameError(f"expander 0x{frame.expander_id:02x} requires an external plug-in")
+    expand = None
+    if frame.version == FRAME_V2:
+        expand = feistel.QuasigroupSponge(key.q, frame.a).expand
     ct = unpack_bits(frame.payload, frame.k, frame.payload_blocks)
-    if frame.version == FRAME_V1:
-        blocks = decrypt(key, list(frame.iv), ct)
-    else:
-        if frame.expander_id != EXPANDER_SPONGE:
-            raise FrameError(
-                f"expander 0x{frame.expander_id:02x} requires an external plug-in"
-            )
-        cca2 = feistel.Cca2Key(key, feistel.QuasigroupSponge(key.q, frame.a))
-        blocks = feistel.decrypt_cca2(cca2, list(frame.iv), ct)
-    bits = unpad(blocks, frame.k)
+    bits = unpad(decrypt(key, list(frame.iv), ct, expand), frame.k)
     if bits.size != frame.bit_length:
         raise PaddingError(
             f"recovered {bits.size} plaintext bits, header says {frame.bit_length}"

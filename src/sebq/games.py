@@ -25,8 +25,8 @@ __all__ = [
     "QueryRestrictionError",
     "UnsupportedConfiguration",
     "ChallengeQueryRejected",
+    "Scheme",
     "PlainScheme",
-    "FeistelScheme",
     "make_scheme_factory",
     "OracleSession",
     "lr_oracle",
@@ -60,11 +60,16 @@ class ChallengeQueryRejected(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PlainScheme:
-    """The chained-mode cipher with an ``n``-block leader IV."""
+class Scheme:
+    """The chained-mode cipher with an ``n``-block IV.
+
+    With an ``expander`` it is the hardened variant, whose IV seeds the
+    expanded per-block leaders.
+    """
 
     key: SebqKey
     n: int = 1
+    expander: Optional[feistel.Expander] = None
 
     @property
     def order(self) -> int:
@@ -74,58 +79,39 @@ class PlainScheme:
     def k(self) -> int:
         return self.key.k
 
-    def fresh_iv(self, rng) -> tuple[int, ...]:
-        return tuple(rng.randrange(self.order) for _ in range(self.n))
-
-    def encrypt(self, iv: Sequence[int], message: Sequence[int]) -> tuple[int, ...]:
-        return tuple(encrypt(self.key, list(iv), list(message)))
-
-    def decrypt(self, iv: Sequence[int], ciphertext: Sequence[int]) -> tuple[int, ...]:
-        return tuple(decrypt(self.key, list(iv), list(ciphertext)))
-
-
-@dataclass(frozen=True)
-class FeistelScheme:
-    """The expander-hardened variant with an ``n``-block seed IV."""
-
-    key: feistel.Cca2Key
-    n: int = 1
-
     @property
-    def order(self) -> int:
-        return self.key.order
-
-    @property
-    def k(self) -> int:
-        return self.key.k
+    def _expand(self):
+        return None if self.expander is None else self.expander.expand
 
     def fresh_iv(self, rng) -> tuple[int, ...]:
         return tuple(rng.randrange(self.order) for _ in range(self.n))
 
     def encrypt(self, iv: Sequence[int], message: Sequence[int]) -> tuple[int, ...]:
-        return tuple(feistel.encrypt_cca2(self.key, list(iv), list(message)))
+        return tuple(encrypt(self.key, list(iv), list(message), self._expand))
 
     def decrypt(self, iv: Sequence[int], ciphertext: Sequence[int]) -> tuple[int, ...]:
-        return tuple(feistel.decrypt_cca2(self.key, list(iv), list(ciphertext)))
+        return tuple(decrypt(self.key, list(iv), list(ciphertext), self._expand))
+
+
+# the name existing callers use for the scheme without an expander
+PlainScheme = Scheme
 
 
 def make_scheme_factory(
     scheme: str, k: int, n: int = 1, *, a: int | None = None
 ) -> Callable[[object], object]:
     """Factory of per-trial scheme instances with fresh hidden keys."""
-    if scheme == "plain":
-        return lambda rng: PlainScheme(keygen(k, rng.randrange(2**63)), n)
-    if scheme == "cca2":
-        eff_a = 2 * n if a is None else a
+    if scheme not in ("plain", "cca2"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    eff_a = 2 * n if a is None else a
 
-        def build(rng):
-            base = keygen(k, rng.randrange(2**63))
-            return FeistelScheme(
-                feistel.Cca2Key(base, feistel.QuasigroupSponge(base.q, eff_a)), n
-            )
+    def build(rng):
+        key = keygen(k, rng.randrange(2**63))
+        if scheme == "plain":
+            return Scheme(key, n)
+        return Scheme(key, n, feistel.QuasigroupSponge(key.q, eff_a))
 
-        return build
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return build
 
 
 class OracleSession:

@@ -1,10 +1,16 @@
 """Quasigroup string transformations.
 
-The chained block maps the cipher is built from: a forward fold that
-encrypts one block under a leader vector, its reversed-fold inverse, and
-the leader-update rules that thread state from block to block.  Block
-symbols are plain ints in ``0..order-1``; leaders and messages are
-sequences of such ints.
+The cipher is one chained step: fold a symbol through the leader while
+recording the chain of partial folds, emit the last one, and XOR-checksum
+the chain into the last slot to form the next leader.  :func:`_encrypt_chain`
+runs that step over a block string and :func:`_decrypt_chain` runs its
+inverse.  Every encrypt and decrypt path in the package calls them: the
+maps below, the message and block maps in :mod:`sebq.cipher` (whose
+expander-hardened mode runs them one block at a time under expanded
+leaders), the sponge in :mod:`sebq.feistel` and the operation counts in
+:mod:`sebq.analysis`.  The two loops check nothing; each public entry
+checks its input once.  Block symbols are plain ints in ``0..order-1``;
+leaders and messages are sequences of such ints.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ __all__ = [
     "fold_apply",
     "fold_reverse",
     "xor_checksum",
+    "compress_fold",
     "leader_update_enc",
     "leader_update_dec",
     "e_transform",
@@ -24,15 +31,62 @@ __all__ = [
 ]
 
 
-def _check_symbol(q: Quasigroup, s: int, what: str) -> None:
-    if not 0 <= s < q.order:
-        raise ValueError(f"{what} symbol {s} out of range 0..{q.order - 1}")
+def _check_symbols(order: int, v: Sequence[int], what: str) -> None:
+    """Raise ``ValueError`` unless every symbol of ``v`` is in ``0..order-1``."""
+    if v and not (0 <= min(v) and max(v) < order):
+        bad = next(s for s in v if not 0 <= s < order)
+        raise ValueError(f"{what} symbol {bad} out of range 0..{order - 1}")
 
 
-def _check_vector(q: Quasigroup, v: Sequence[int], what: str) -> None:
-    if v and not (0 <= min(v) and max(v) < q.order):
-        for s in v:
-            _check_symbol(q, s, what)
+def _encrypt_chain(mul, state: Sequence[int], message) -> tuple[list[int], list[int]]:
+    """The chained encrypt step over ``message``: ``(cipher, final_state)``.
+
+    ``mul`` holds the multiplication-table rows.  Per block, ``d_i = s_i *
+    d_{i-1}`` with ``d_0`` the block; the last ``d`` is the cipher block and
+    ``(d_1, ..., d_{n-1}, d_1 ^ ... ^ d_n)`` the next state.  The caller's
+    ``state`` (non-empty) is not modified.
+    """
+    state = list(state)
+    n = len(state)
+    last = n - 1
+    out = []
+    append = out.append
+    for m in message:
+        acc = m
+        x = 0
+        for i in range(n):
+            acc = mul[state[i]][acc]
+            state[i] = acc
+            x ^= acc
+        append(acc)
+        state[last] = x
+    return out, state
+
+
+def _decrypt_chain(ldiv, state: Sequence[int], ciphertext) -> tuple[list[int], list[int]]:
+    """Inverse of :func:`_encrypt_chain` under the left-division rows ``ldiv``.
+
+    Rebuilds the encrypt-side chain from the top down
+    (``d_{i-1} = s_i \\ d_i`` with ``d_n`` the cipher block), so the state
+    sequence matches the encrypt run block for block.
+    """
+    state = list(state)
+    n = len(state)
+    out = []
+    append = out.append
+    for c in ciphertext:
+        # a fresh list per block: the old state is read while the new one is written
+        new = [0] * n
+        u = c
+        x = c
+        for i in range(n - 1, 0, -1):
+            u = ldiv[state[i]][u]
+            new[i - 1] = u
+            x ^= u
+        append(ldiv[state[0]][u])
+        new[n - 1] = x
+        state = new
+    return out, state
 
 
 def fold_apply(q: Quasigroup, beta: Sequence[int], a: int) -> int:
@@ -40,24 +94,20 @@ def fold_apply(q: Quasigroup, beta: Sequence[int], a: int) -> int:
 
     An empty leader is the identity map.
     """
-    _check_symbol(q, a, "input")
-    _check_vector(q, beta, "leader")
-    mul = q.mul_rows
-    acc = a
-    for b in beta:
-        acc = mul[b][acc]
-    return acc
+    _check_symbols(q.order, (a,), "input")
+    _check_symbols(q.order, beta, "leader")
+    if not beta:
+        return a
+    return _encrypt_chain(q.mul_rows, beta, (a,))[0][0]
 
 
 def fold_reverse(q: Quasigroup, beta: Sequence[int], c: int) -> int:
     """Inverse of :func:`fold_apply`: ``b_1 \\ (b_2 \\ (... (b_n \\ c)))``."""
-    _check_symbol(q, c, "input")
-    _check_vector(q, beta, "leader")
-    ldiv = q.ldiv_rows
-    acc = c
-    for b in reversed(beta):
-        acc = ldiv[b][acc]
-    return acc
+    _check_symbols(q.order, (c,), "input")
+    _check_symbols(q.order, beta, "leader")
+    if not beta:
+        return c
+    return _decrypt_chain(q.ldiv_rows, beta, (c,))[0][0]
 
 
 def xor_checksum(v: Sequence[int]) -> list[int]:
@@ -72,6 +122,27 @@ def xor_checksum(v: Sequence[int]) -> list[int]:
     return out
 
 
+def compress_fold(blocks: Sequence[int], width: int) -> list[int]:
+    """XOR-fold ``blocks`` down to ``width`` blocks, position-wise.
+
+    Bridges an expander's wide output leader back to the seed width so the
+    state recurrence closes.
+    """
+    if width < 1:
+        raise ValueError("width must be positive")
+    out = [0] * width
+    for i, b in enumerate(blocks):
+        out[i % width] ^= b
+    return out
+
+
+def _check_args(q: Quasigroup, leader: Sequence[int], blocks: Sequence[int]) -> None:
+    if not leader:
+        raise ValueError("empty leader")
+    _check_symbols(q.order, leader, "leader")
+    _check_symbols(q.order, blocks, "input")
+
+
 def leader_update_enc(q: Quasigroup, a: int, delta: Sequence[int]) -> list[int]:
     """Leader evolution on the encrypt side.
 
@@ -79,20 +150,8 @@ def leader_update_enc(q: Quasigroup, a: int, delta: Sequence[int]) -> list[int]:
     (``d_i = b_i * d_{i-1}`` with ``d_0 = a``), then applies
     :func:`xor_checksum` to the last position.
     """
-    if not delta:
-        raise ValueError("empty leader")
-    _check_symbol(q, a, "input")
-    _check_vector(q, delta, "leader")
-    mul = q.mul_rows
-    acc = a
-    out = []
-    x = 0
-    for b in delta:
-        acc = mul[b][acc]
-        out.append(acc)
-        x ^= acc
-    out[-1] = x
-    return out
+    _check_args(q, delta, (a,))
+    return _encrypt_chain(q.mul_rows, delta, (a,))[1]
 
 
 def leader_update_dec(q: Quasigroup, c: int, delta: Sequence[int]) -> list[int]:
@@ -103,21 +162,8 @@ def leader_update_dec(q: Quasigroup, c: int, delta: Sequence[int]) -> list[int]:
     leader is ``(u_1, ..., u_{n-1}, c)`` followed by :func:`xor_checksum`.
     Paired encrypt/decrypt runs therefore carry identical leaders.
     """
-    if not delta:
-        raise ValueError("empty leader")
-    _check_symbol(q, c, "input")
-    _check_vector(q, delta, "leader")
-    ldiv = q.ldiv_rows
-    n = len(delta)
-    out = [0] * n
-    u = c
-    x = c
-    for i in range(n - 1, 0, -1):
-        u = ldiv[delta[i]][u]
-        out[i - 1] = u
-        x ^= u
-    out[-1] = x
-    return out
+    _check_args(q, delta, (c,))
+    return _decrypt_chain(q.ldiv_rows, delta, (c,))[1]
 
 
 def e_transform(
@@ -125,19 +171,12 @@ def e_transform(
 ) -> tuple[list[int], list[int]]:
     """Encrypt a block string under an evolving leader.
 
-    Each block is folded through the current leader
-    (:func:`fold_apply`) and the leader is advanced with
-    :func:`leader_update_enc`.  Returns ``(cipher, final_leader)``; an
-    empty input returns the leader unchanged.
+    Each block is folded through the current leader (:func:`fold_apply`)
+    and the leader is advanced as in :func:`leader_update_enc`.  Returns
+    ``(cipher, final_leader)``; an empty input returns the leader unchanged.
     """
-    if not leader:
-        raise ValueError("empty leader")
-    state = list(leader)
-    out = []
-    for a in alpha:
-        out.append(fold_apply(q, state, a))
-        state = leader_update_enc(q, a, state)
-    return out, state
+    _check_args(q, leader, alpha)
+    return _encrypt_chain(q.mul_rows, leader, alpha)
 
 
 def d_transform(
@@ -145,14 +184,9 @@ def d_transform(
 ) -> tuple[list[int], list[int]]:
     """Inverse of :func:`e_transform`: ``(plain, final_leader)``.
 
-    Uses the reversed fold per block and :func:`leader_update_dec` for the
-    state, so the final leader matches the paired encrypt run.
+    Uses the reversed fold per block and the state of
+    :func:`leader_update_dec`, so the final leader matches the paired
+    encrypt run.
     """
-    if not leader:
-        raise ValueError("empty leader")
-    state = list(leader)
-    out = []
-    for c in gamma:
-        out.append(fold_reverse(q, state, c))
-        state = leader_update_dec(q, c, state)
-    return out, state
+    _check_args(q, leader, gamma)
+    return _decrypt_chain(q.ldiv_rows, leader, gamma)

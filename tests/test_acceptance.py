@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+import zlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -220,7 +221,7 @@ def test_ciphertext_randomness(plaintext):
             message_bits=4000,
             plaintext=plaintext,
             alpha=0.01,
-            seed=5150 + hash(plaintext) % 1000,
+            seed=5150 + zlib.crc32(plaintext.encode()) % 1000,
         )
         agg = aggregate_pass_rates(per_seq)
         for name, slot in agg.items():

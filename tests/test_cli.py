@@ -141,6 +141,35 @@ class TestCrypt:
         assert code == 0
         assert decode_frame(enc.read_bytes()).iv == (0xA, 0xB, 0xC, 0xD)
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--n", "0"], ["--n", "70000"], ["--iv-hex", "zz"], ["--scheme", "cca2", "--a", "1"]],
+    )
+    def test_bad_parameter_exits_1(self, capsys, tmp_path, key_path, extra):
+        src = tmp_path / "m.bin"
+        src.write_bytes(b"data")
+        code, _, err = run(
+            capsys, "encrypt", "--key", str(key_path), "--in", str(src),
+            "--out", str(tmp_path / "m.sebq"), "--seed", "1", *extra,
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert not (tmp_path / "m.sebq").exists()
+
+    @pytest.mark.parametrize("a", [0, 1])
+    def test_v2_expander_length_below_two_exits_3(self, capsys, tmp_path, key_path, a):
+        src = tmp_path / "m.bin"
+        src.write_bytes(b"data")
+        enc = tmp_path / "m.sebq"
+        run(capsys, "encrypt", "--key", str(key_path), "--in", str(src), "--out", str(enc),
+            "--seed", "2", "--scheme", "cca2")
+        blob = bytearray(enc.read_bytes())
+        blob[8:10] = a.to_bytes(2, "big")  # the v2 header's expander length
+        enc.write_bytes(bytes(blob))
+        code, _, err = run(capsys, "decrypt", "--key", str(key_path), "--in", str(enc), "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert err.startswith("error:")
+
     @pytest.mark.slow
     def test_megabyte_round_trip(self, capsys, tmp_path):
         key_path = tmp_path / "key8.lsq"
