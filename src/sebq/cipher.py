@@ -135,12 +135,16 @@ def _run(chain, rows, iv: Sequence[int], blocks: Sequence[int], expand: Expand |
     """
     if expand is None:
         return chain(rows, iv, blocks)[0]
+    order = len(rows)
     width = len(iv)
     seed = iv
     out = []
     append = out.append
     for b in blocks:
-        (y,), leader = chain(rows, expand(seed), (b,))
+        leader = expand(seed)
+        # an expander may be plug-in code: its output is checked like outside input
+        _check_symbols(order, leader, "expander output")
+        (y,), leader = chain(rows, leader, (b,))
         append(y)
         seed = compress_fold(leader, width)
     return out

@@ -154,3 +154,11 @@ class TestCca2Cipher:
         key = cca2_keygen(2, 1)
         with pytest.raises(ValueError):
             encrypt_cca2(key, [0], [4])
+
+    @pytest.mark.parametrize("vector", [[-1, 2], [1, 4]])
+    def test_out_of_range_expander_output_rejected(self, vector):
+        key = Cca2Key(keygen(2, 3), ConstantExpander(vector))
+        with pytest.raises(ValueError):
+            encrypt_cca2(key, [0], [1])
+        with pytest.raises(ValueError):
+            decrypt_cca2(key, [0], [1])
