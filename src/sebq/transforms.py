@@ -4,13 +4,10 @@ The cipher is one chained step: fold a symbol through the leader while
 recording the chain of partial folds, emit the last one, and XOR-checksum
 the chain into the last slot to form the next leader.  :func:`_encrypt_chain`
 runs that step over a block string and :func:`_decrypt_chain` runs its
-inverse.  Every encrypt and decrypt path in the package calls them: the
-maps below, the message and block maps in :mod:`sebq.cipher` (whose
-expander-hardened mode runs them one block at a time under expanded
-leaders), the sponge in :mod:`sebq.feistel` and the operation counts in
-:mod:`sebq.analysis`.  The two loops check nothing; each public entry
-checks its input once.  Block symbols are plain ints in ``0..order-1``;
-leaders and messages are sequences of such ints.
+inverse; every encrypt and decrypt path in the package runs one of them.
+The two loops check nothing: each public entry checks its input once.
+Block symbols are plain ints in ``0..order-1``; leaders and messages are
+sequences of such ints.
 """
 
 from __future__ import annotations
