@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gammaincc
 
-from sebq.cipher import SebqKey, encrypt, keygen, pack_bits
+from sebq.cipher import SebqKey, _bits_from_blocks, _blocks_from_bits, encrypt, keygen
 from sebq.latin import Quasigroup, SeedLike, as_rng, intercalate_swap
 from sebq.transforms import _encrypt_chain
 
@@ -275,12 +275,8 @@ def encrypt_bit_sequence(key: SebqKey, iv: Sequence[int], plaintext_bits) -> np.
     k = key.k
     if bits.size % k:
         raise ValueError(f"bit length {bits.size} not a multiple of k={k}")
-    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    blocks = (bits.reshape(-1, k) @ weights).tolist()
-    ct = encrypt(key, list(iv), blocks)
-    return np.unpackbits(
-        np.frombuffer(pack_bits(ct, k), dtype=np.uint8), count=bits.size
-    )
+    ct = encrypt(key, iv, _blocks_from_bits(bits, k))
+    return _bits_from_blocks(np.array(ct, dtype=np.uint8), k)
 
 
 def _experiment_plaintext(kind: str, nbits: int, rng) -> np.ndarray:
@@ -504,7 +500,9 @@ class _CountingRows:
 def instrumented_counts(key: SebqKey, iv: Sequence[int], message: Sequence[int]) -> tuple[int, int]:
     """Count the table lookups and checksum XORs an encryption actually does.
 
-    Runs the cipher's own chained loop over a counting view of the table.
+    Runs the cipher's own Python chained loop, the reference, over a
+    counting view of the table; ``tests/test_ckernel.py`` pins the compiled
+    loop that carries long plain runs to that reference bit for bit.
     Returns ``(lookups, xors)``; the loop performs ``n*l`` lookups and
     ``(n-1)*l`` XOR block-operations.
     """

@@ -10,12 +10,13 @@ streams.  The chained step itself lives in :mod:`sebq.transforms`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from sebq.latin import LatinSquare, Quasigroup, SeedLike, random_latin_square
-from sebq.transforms import _check_symbols, _decrypt_chain, _encrypt_chain, compress_fold
+from sebq.transforms import _check_symbols, _decrypt_chain, _encrypt_chain, _kernel, compress_fold
 
 __all__ = [
     "MAX_SYMBOL_BITS",
@@ -38,6 +39,10 @@ MAX_SYMBOL_BITS = 8
 
 # maps a leader seed to the leader one block runs under (an Expander's expand)
 Expand = Callable[[Sequence[int]], Sequence[int]]
+
+# a compiled call costs what some 64 Python lookups do (a few microseconds);
+# shorter plain runs, such as single blocks, stay in Python
+_C_MIN_LOOKUPS = 64
 
 
 class PaddingError(ValueError):
@@ -66,6 +71,11 @@ class SebqKey:
         """The key itself, so ``key.base`` is the table for plain and hardened keys alike."""
         return self
 
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mul and ldiv tables as contiguous ``uint8`` arrays, for the compiled loop."""
+        return tuple(np.ascontiguousarray(t.table, dtype=np.uint8) for t in (self.q.mul, self.q.ldiv))
+
     @classmethod
     def from_square(cls, square: LatinSquare) -> "SebqKey":
         k = square.order.bit_length() - 1
@@ -81,9 +91,9 @@ class CipherState:
     leader: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "leader", tuple(int(b) for b in self.leader))
         if not self.leader:
             raise ValueError("leader must hold at least one block")
-        object.__setattr__(self, "leader", tuple(int(b) for b in self.leader))
 
     @property
     def n(self) -> int:
@@ -99,13 +109,6 @@ def keygen(k: int, seed: SeedLike = None) -> SebqKey:
         raise ValueError(f"k must be in 1..{MAX_SYMBOL_BITS}, got {k}")
     square = random_latin_square(1 << k, seed)
     return SebqKey(Quasigroup.from_square(square), k)
-
-
-def _check_input(key: SebqKey, iv: Sequence[int], blocks: Sequence[int], what: str) -> None:
-    if not iv:
-        raise ValueError("iv must hold at least one block")
-    _check_symbols(key.order, iv, "iv")
-    _check_symbols(key.order, blocks, what)
 
 
 def encrypt_block(key: SebqKey, m: int, state: CipherState) -> tuple[int, CipherState]:
@@ -124,15 +127,30 @@ def decrypt_block(key: SebqKey, c: int, state: CipherState) -> tuple[int, Cipher
     return m, CipherState(leader)
 
 
-def _run(chain, rows, iv: Sequence[int], blocks: Sequence[int], expand: Expand | None) -> list[int]:
-    """Run ``chain`` over ``blocks``, plain or with a leader expander.
+def _listed(v):
+    return v.tolist() if isinstance(v, np.ndarray) else v
+
+
+def _run(key: SebqKey, iv, blocks, expand: Expand | None, inverse: bool):
+    """Check the input, then run the chain over ``blocks`` (its inverse with ``inverse``).
 
     Without ``expand`` the chain runs over the whole string under the IV.
     With it, each block runs under its own leader ``expand(seed)`` and the
     advanced leader is XOR-folded back to seed width for the next block;
     the first seed is the IV.  The branch stays outside the per-block loop,
-    so the plain path pays nothing for the expander.
+    so the plain path pays nothing for the expander.  A plain run of at
+    least ``_C_MIN_LOOKUPS`` lookups goes to the compiled loop when one is
+    loaded and comes back as a ``uint8`` array; the Python loops return a
+    list.
     """
+    if not len(iv):
+        raise ValueError("iv must hold at least one block")
+    _check_symbols(key.order, iv, "iv")
+    _check_symbols(key.order, blocks, "ciphertext" if inverse else "message")
+    if expand is None and len(iv) * len(blocks) >= _C_MIN_LOOKUPS and _kernel() is not None:
+        return _kernel().run(key._tables[inverse], key.k, iv, blocks, inverse)[0]
+    chain, rows = (_decrypt_chain, key.q.ldiv_rows) if inverse else (_encrypt_chain, key.q.mul_rows)
+    iv, blocks = _listed(iv), _listed(blocks)
     if expand is None:
         return chain(rows, iv, blocks)[0]
     order = len(rows)
@@ -163,8 +181,7 @@ def encrypt(
     a seed that starts at ``iv``.  The ``iv`` itself is unmodified and must
     travel with the ciphertext.
     """
-    _check_input(key, iv, message, "message")
-    return _run(_encrypt_chain, key.q.mul_rows, iv, message, expand)
+    return _listed(_run(key, iv, message, expand, inverse=False))
 
 
 def decrypt(
@@ -176,8 +193,7 @@ def decrypt(
     left-division table, so the internal state sequence matches the
     encrypt run block for block.
     """
-    _check_input(key, iv, ciphertext, "ciphertext")
-    return _run(_decrypt_chain, key.q.ldiv_rows, iv, ciphertext, expand)
+    return _listed(_run(key, iv, ciphertext, expand, inverse=True))
 
 
 def _check_k(k: int) -> None:
@@ -185,32 +201,65 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be in 1..{MAX_SYMBOL_BITS}, got {k}")
 
 
+# one strided column per bit: a few times faster than packbits/unpackbits along rows
+def _blocks_from_bits(bits: np.ndarray, k: int) -> np.ndarray:
+    """Read a 0/1 ``uint8`` array, of a length k divides, as MSB-first k-bit ``uint8`` symbols."""
+    cols = bits.reshape(-1, k)
+    out = cols[:, 0].copy()
+    for j in range(1, k):
+        out <<= 1
+        out |= cols[:, j]
+    return out
+
+
+def _bits_from_blocks(blocks: np.ndarray, k: int) -> np.ndarray:
+    """Inverse of :func:`_blocks_from_bits`: the MSB-first bits of ``uint8`` symbols."""
+    cols = np.empty((blocks.size, k), dtype=np.uint8)
+    for j in range(k):
+        np.right_shift(blocks, k - 1 - j, out=cols[:, j])
+    cols &= 1
+    return cols.ravel()
+
+
+def _symbols(blocks, k: int) -> np.ndarray:
+    """``blocks`` as a ``uint8`` array, refused unless every value is a k-bit symbol."""
+    arr = np.asarray(blocks)
+    if arr.size and (arr.min() < 0 or arr.max() >= 1 << k):
+        raise ValueError(f"block value out of range for k={k}")
+    return arr.astype(np.uint8, copy=False)
+
+
 def pack_bits(blocks: Sequence[int], k: int) -> bytes:
     """Pack k-bit symbols into bytes, most significant bit first, contiguous."""
     _check_k(k)
-    arr = np.asarray(blocks, dtype=np.int64)
-    if arr.size == 0:
-        return b""
-    if arr.min() < 0 or arr.max() >= 1 << k:
-        raise ValueError(f"block value out of range for k={k}")
-    shifts = np.arange(k - 1, -1, -1)
-    bits = ((arr[:, None] >> shifts) & 1).astype(np.uint8).ravel()
-    return np.packbits(bits).tobytes()
+    return np.packbits(_bits_from_blocks(_symbols(blocks, k), k)).tobytes()
+
+
+def _unpack_blocks(data: bytes, k: int, count: int) -> np.ndarray:
+    """:func:`unpack_bits` as a ``uint8`` array."""
+    _check_k(k)
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    need = k * count
+    if len(data) * 8 < need:
+        raise ValueError(f"need {need} bits, have {len(data) * 8}")
+    return _blocks_from_bits(np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=need), k)
 
 
 def unpack_bits(data: bytes, k: int, count: int) -> list[int]:
     """Inverse of :func:`pack_bits`: read ``count`` k-bit symbols."""
+    return _unpack_blocks(data, k, count).tolist()
+
+
+def _pad_blocks(bits, k: int) -> np.ndarray:
+    """:func:`pad` as a ``uint8`` array."""
     _check_k(k)
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if count == 0:
-        return []
-    need = k * count
-    if len(data) * 8 < need:
-        raise ValueError(f"need {need} bits, have {len(data) * 8}")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=need)
-    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    return (bits.reshape(count, k) @ weights).tolist()
+    arr = np.asarray(bits, dtype=np.uint8)
+    if arr.size and arr.max() > 1:
+        raise ValueError("bits must be 0 or 1")
+    tail = (-(arr.size + 1)) % k
+    padded = np.concatenate([arr, np.ones(1, dtype=np.uint8), np.zeros(tail, dtype=np.uint8)])
+    return _blocks_from_bits(padded, k)
 
 
 def pad(bits: Sequence[int], k: int) -> list[int]:
@@ -219,14 +268,7 @@ def pad(bits: Sequence[int], k: int) -> list[int]:
     Always appends at least one bit, so aligned input grows by one full
     block and removal is unambiguous.
     """
-    _check_k(k)
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.size and arr.max() > 1:
-        raise ValueError("bits must be 0 or 1")
-    tail = (-(arr.size + 1)) % k
-    padded = np.concatenate([arr, np.ones(1, dtype=np.uint8), np.zeros(tail, dtype=np.uint8)])
-    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    return (padded.reshape(-1, k) @ weights).tolist()
+    return _pad_blocks(bits, k).tolist()
 
 
 def unpad(blocks: Sequence[int], k: int) -> np.ndarray:
@@ -235,14 +277,12 @@ def unpad(blocks: Sequence[int], k: int) -> np.ndarray:
     Raises :class:`PaddingError` when no 1 bit terminates the data.
     """
     _check_k(k)
-    arr = np.asarray(blocks, dtype=np.int64)
+    arr = _symbols(blocks, k)
     if arr.size == 0:
         raise PaddingError("no data to unpad")
-    if arr.min() < 0 or arr.max() >= 1 << k:
-        raise ValueError(f"block value out of range for k={k}")
-    shifts = np.arange(k - 1, -1, -1)
-    bits = ((arr[:, None] >> shifts) & 1).astype(np.uint8).ravel()
-    ones = np.nonzero(bits)[0]
-    if ones.size == 0:
+    last = arr.size - 1 - int(np.argmax(arr[::-1] != 0))
+    v = int(arr[last])
+    if v == 0:
         raise PaddingError("malformed padding: no terminating 1 bit")
-    return bits[: ones[-1]]
+    # the terminating 1 is the lowest set bit of the last non-zero block
+    return _bits_from_blocks(arr[: last + 1], k)[: last * k + k - (v & -v).bit_length()]

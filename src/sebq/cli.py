@@ -15,7 +15,8 @@ import sys
 
 import numpy as np
 
-from sebq import analysis, formats, games
+# sebq.analysis imports scipy, some 0.3 s: only the analyze commands import it
+from sebq import formats, games
 from sebq.cipher import MAX_SYMBOL_BITS, PaddingError, keygen, unpack_bits
 from sebq.latin import as_rng
 
@@ -113,6 +114,8 @@ def cmd_decrypt(args) -> int:
 
 
 def cmd_analyze_stats(args) -> int:
+    from sebq import analysis
+
     if not _check_k(args.k):
         return _fail(EXIT_USAGE, f"--k must be in 1..{MAX_SYMBOL_BITS}")
     if args.trials < 1:
@@ -145,6 +148,8 @@ def cmd_analyze_stats(args) -> int:
 
 
 def cmd_analyze_avalanche(args) -> int:
+    from sebq import analysis
+
     if not _check_k(args.k):
         return _fail(EXIT_USAGE, f"--k must be in 1..{MAX_SYMBOL_BITS}")
     if args.trials < 1:
@@ -180,6 +185,8 @@ def cmd_analyze_avalanche(args) -> int:
 
 
 def cmd_analyze_opcount(args) -> int:
+    from sebq import analysis
+
     if args.l < 1 or args.n < 1:
         return _fail(EXIT_USAGE, "--n and --l must be positive")
     ops = analysis.operation_count(args.n, args.k, args.l)
@@ -196,6 +203,8 @@ def cmd_analyze_opcount(args) -> int:
 
 
 def cmd_analyze_secure_order(args) -> int:
+    from sebq import analysis
+
     if args.bits < 1:
         return _fail(EXIT_USAGE, "--bits must be positive")
     rep = analysis.secure_order_report(args.bits, args.ops)

@@ -6,14 +6,22 @@ the chain into the last slot to form the next leader.  :func:`_encrypt_chain`
 runs that step over a block string and :func:`_decrypt_chain` runs its
 inverse; every encrypt and decrypt path in the package runs one of them.
 The two loops check nothing: each public entry checks its input once.
-Block symbols are plain ints in ``0..order-1``; leaders and messages are
-sequences of such ints.
+Block symbols are ints in ``0..order-1``; leaders and messages are
+sequences or 1-D arrays of such ints.
+
+The same two loops compiled from C (:mod:`sebq._ckernel`) carry long plain
+runs when a C compiler is at hand; :data:`BACKEND` names what loaded,
+``"c"`` or ``"python"``.  The Python loops stay the reference.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Sequence
 
+import numpy as np
+
+from sebq import _ckernel
 from sebq.latin import Quasigroup
 
 __all__ = [
@@ -25,12 +33,29 @@ __all__ = [
     "leader_update_dec",
     "e_transform",
     "d_transform",
+    "BACKEND",
 ]
+
+
+@cache
+def _kernel() -> _ckernel.Kernel | None:
+    """The compiled loops, loaded (and built, the first time ever) on first use."""
+    return _ckernel.load()
+
+
+def __getattr__(name: str):
+    # read lazily, so importing sebq starts no compiler and opens no file
+    if name == "BACKEND":
+        return "python" if _kernel() is None else "c"
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _check_symbols(order: int, v: Sequence[int], what: str) -> None:
     """Raise ``ValueError`` unless every symbol of ``v`` is in ``0..order-1``."""
-    if v and not (0 <= min(v) and max(v) < order):
+    if not len(v):
+        return
+    lo, hi = (v.min(), v.max()) if isinstance(v, np.ndarray) else (min(v), max(v))
+    if lo < 0 or hi >= order:
         bad = next(s for s in v if not 0 <= s < order)
         raise ValueError(f"{what} symbol {bad} out of range 0..{order - 1}")
 
@@ -65,24 +90,23 @@ def _decrypt_chain(ldiv, state: Sequence[int], ciphertext) -> tuple[list[int], l
 
     Rebuilds the encrypt-side chain from the top down
     (``d_{i-1} = s_i \\ d_i`` with ``d_n`` the cipher block), so the state
-    sequence matches the encrypt run block for block.
+    sequence matches the encrypt run block for block.  The new state is
+    built in place: ``s_i`` is read, then overwritten with ``d_i``, the
+    value found one step earlier (``s_n`` gets the checksum last).
     """
     state = list(state)
-    n = len(state)
+    last = len(state) - 1
+    top_down = range(last, 0, -1)
     out = []
     append = out.append
     for c in ciphertext:
-        # a fresh list per block: the old state is read while the new one is written
-        new = [0] * n
-        u = c
-        x = c
-        for i in range(n - 1, 0, -1):
-            u = ldiv[state[i]][u]
-            new[i - 1] = u
+        u = x = c
+        for i in top_down:
+            state[i], u = u, ldiv[state[i]][u]
             x ^= u
         append(ldiv[state[0]][u])
-        new[n - 1] = x
-        state = new
+        state[0] = u
+        state[last] = x
     return out, state
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from sebq.cipher import (
@@ -184,6 +185,20 @@ class TestMessageOps:
             encrypt(xor_key, [7], [0])
         with pytest.raises(ValueError):
             encrypt(xor_key, [], [0])
+
+    def test_array_input(self):
+        key = keygen(4, 3)
+        iv, msg = [3, 1, 4, 1, 5], [9, 2, 6, 5, 3, 5, 8, 9, 7, 9] * 20
+        ct = encrypt(key, iv, msg)
+        assert encrypt(key, np.array(iv), np.array(msg, dtype=np.uint8)) == ct
+        assert decrypt(key, np.array(iv, dtype=np.int64), np.array(ct)) == msg
+        assert encrypt(key, np.array(iv), np.array(msg[:3])) == ct[:3]  # below the compiled-loop cut
+        with pytest.raises(ValueError, match="message symbol 16 out of range 0..15"):
+            encrypt(key, np.array(iv), np.array([1, 16, 2]))
+        with pytest.raises(ValueError, match="iv symbol -1 out of range 0..15"):
+            decrypt(key, np.array([2, -1]), np.array(ct))
+        with pytest.raises(ValueError, match="iv must hold at least one block"):
+            encrypt(key, np.array([], dtype=np.uint8), msg)
 
 
 class TestPacking:

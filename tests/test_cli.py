@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -189,6 +191,14 @@ class TestCrypt:
 
 
 class TestAnalyze:
+    def test_cli_import_leaves_scipy_out(self):
+        # scipy is only for `analyze stats`; encrypt and decrypt should not pay its import
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, sebq.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_opcount_prints_value_and_note(self, capsys):
         code, out, _ = run(capsys, "analyze", "opcount", "--n", "4", "--k", "4", "--l", "16")
         assert code == 0
