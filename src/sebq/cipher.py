@@ -49,6 +49,11 @@ class PaddingError(ValueError):
     """Unpadding failed: no terminating 1 bit in the padded tail."""
 
 
+def _check_k(k: int) -> None:
+    if not 1 <= k <= MAX_SYMBOL_BITS:
+        raise ValueError(f"k must be in 1..{MAX_SYMBOL_BITS}, got {k}")
+
+
 @dataclass(frozen=True)
 class SebqKey:
     """Secret key: a quasigroup of order ``2**k`` over k-bit symbols."""
@@ -57,8 +62,7 @@ class SebqKey:
     k: int
 
     def __post_init__(self):
-        if not 1 <= self.k <= MAX_SYMBOL_BITS:
-            raise ValueError(f"k must be in 1..{MAX_SYMBOL_BITS}, got {self.k}")
+        _check_k(self.k)
         if self.q.order != 1 << self.k:
             raise ValueError(f"key order {self.q.order} does not match k={self.k}")
 
@@ -103,10 +107,9 @@ class CipherState:
 def keygen(k: int, seed: SeedLike = None) -> SebqKey:
     """Generate a random key over k-bit symbols (order ``2**k`` table).
 
-    Deterministic for a fixed seed; ``1 <= k <= 8``.
+    Deterministic for a fixed seed; k is in ``1..MAX_SYMBOL_BITS``.
     """
-    if not 1 <= k <= MAX_SYMBOL_BITS:
-        raise ValueError(f"k must be in 1..{MAX_SYMBOL_BITS}, got {k}")
+    _check_k(k)
     square = random_latin_square(1 << k, seed)
     return SebqKey(Quasigroup.from_square(square), k)
 
@@ -196,11 +199,6 @@ def decrypt(
     return _listed(_run(key, iv, ciphertext, expand, inverse=True))
 
 
-def _check_k(k: int) -> None:
-    if not 1 <= k <= MAX_SYMBOL_BITS:
-        raise ValueError(f"k must be in 1..{MAX_SYMBOL_BITS}, got {k}")
-
-
 # one strided column per bit: a few times faster than packbits/unpackbits along rows
 def _blocks_from_bits(bits: np.ndarray, k: int) -> np.ndarray:
     """Read a 0/1 ``uint8`` array, of a length k divides, as MSB-first k-bit ``uint8`` symbols."""
@@ -224,8 +222,7 @@ def _bits_from_blocks(blocks: np.ndarray, k: int) -> np.ndarray:
 def _symbols(blocks, k: int) -> np.ndarray:
     """``blocks`` as a ``uint8`` array, refused unless every value is a k-bit symbol."""
     arr = np.asarray(blocks)
-    if arr.size and (arr.min() < 0 or arr.max() >= 1 << k):
-        raise ValueError(f"block value out of range for k={k}")
+    _check_symbols(1 << k, arr, "block")
     return arr.astype(np.uint8, copy=False)
 
 

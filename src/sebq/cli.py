@@ -4,7 +4,7 @@ Subcommands: ``keygen``, ``encrypt``, ``decrypt``,
 ``analyze {stats|avalanche|opcount|secure-order}``, and
 ``attack {cpa-column|cca-recover}``.
 
-Exit codes: 0 success, 1 bad parameter, 2 unwritable/unreadable path,
+Exit codes: 0 success, 1 bad parameter or usage, 2 unwritable/unreadable path,
 3 corrupt frame magic, 4 malformed padding, 5 key/frame mismatch.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 # sebq.analysis imports scipy, some 0.3 s: only the analyze commands import it
 from sebq import formats, games
-from sebq.cipher import MAX_SYMBOL_BITS, PaddingError, keygen, unpack_bits
+from sebq.cipher import PaddingError, _check_k, keygen, unpack_bits
 from sebq.latin import as_rng
 
 EXIT_OK = 0
@@ -27,20 +27,24 @@ EXIT_MAGIC = 3
 EXIT_PADDING = 4
 EXIT_KEY_MISMATCH = 5
 
+# what an exception escaping a command exits with, and the prefix of its
+# message; the first match decides, so subclasses come before their bases
+_EXIT_CODES = (
+    (formats.BadMagic, EXIT_MAGIC, ""),
+    (formats.KeyMismatch, EXIT_KEY_MISMATCH, ""),
+    (PaddingError, EXIT_PADDING, ""),
+    (formats.FrameError, EXIT_MAGIC, "corrupt frame: "),
+    (formats.KeyFileError, EXIT_IO, "bad key file: "),
+    (ValueError, EXIT_USAGE, ""),
+)
+
 
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
 
 
-def _check_k(k: int) -> bool:
-    return 1 <= k <= MAX_SYMBOL_BITS
-
-
 def cmd_keygen(args) -> int:
-    if not _check_k(args.k):
-        print(f"usage: --k must be in 1..{MAX_SYMBOL_BITS} (got {args.k})", file=sys.stderr)
-        return EXIT_USAGE
     key = keygen(args.k, args.seed)
     try:
         formats.save_key(args.out, key)
@@ -52,32 +56,22 @@ def cmd_keygen(args) -> int:
     return EXIT_OK
 
 
-def _load_key(path):
-    try:
-        return formats.load_key(path)
-    except formats.KeyFileError as exc:
-        raise SystemExit(_fail(EXIT_IO, f"bad key file: {exc}"))
-
-
 def cmd_encrypt(args) -> int:
-    key = _load_key(args.key)
+    key = formats.load_key(args.key)
     try:
         with open(args.infile, "rb") as fp:
             data = fp.read()
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read input: {exc}")
     iv = None
-    try:
-        if args.iv_hex is not None:
-            raw = bytes.fromhex(args.iv_hex)
-            if len(raw) * 8 < args.n * key.k:
-                return _fail(EXIT_USAGE, "--iv-hex too short for n blocks")
-            iv = unpack_bits(raw, key.k, args.n)
-        frame = formats.seal_bytes(
-            key, data, n=args.n, seed=args.seed, iv=iv, scheme=args.scheme, a=args.a
-        )
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    if args.iv_hex is not None:
+        raw = bytes.fromhex(args.iv_hex)
+        if len(raw) * 8 < args.n * key.k:
+            return _fail(EXIT_USAGE, "--iv-hex too short for n blocks")
+        iv = unpack_bits(raw, key.k, args.n)
+    frame = formats.seal_bytes(
+        key, data, n=args.n, seed=args.seed, iv=iv, scheme=args.scheme, a=args.a
+    )
     try:
         with open(args.out, "wb") as fp:
             fp.write(frame)
@@ -88,22 +82,13 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
-    key = _load_key(args.key)
+    key = formats.load_key(args.key)
     try:
         with open(args.infile, "rb") as fp:
             blob = fp.read()
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read frame: {exc}")
-    try:
-        data = formats.open_bytes(key, blob)
-    except formats.BadMagic as exc:
-        return _fail(EXIT_MAGIC, str(exc))
-    except formats.KeyMismatch as exc:
-        return _fail(EXIT_KEY_MISMATCH, str(exc))
-    except PaddingError as exc:
-        return _fail(EXIT_PADDING, str(exc))
-    except formats.FrameError as exc:
-        return _fail(EXIT_MAGIC, f"corrupt frame: {exc}")
+    data = formats.open_bytes(key, blob)
     try:
         with open(args.out, "wb") as fp:
             fp.write(data)
@@ -116,8 +101,6 @@ def cmd_decrypt(args) -> int:
 def cmd_analyze_stats(args) -> int:
     from sebq import analysis
 
-    if not _check_k(args.k):
-        return _fail(EXIT_USAGE, f"--k must be in 1..{MAX_SYMBOL_BITS}")
     if args.trials < 1:
         return _fail(EXIT_USAGE, "--trials must be positive")
     per_seq = analysis.ciphertext_suite_experiment(
@@ -150,8 +133,6 @@ def cmd_analyze_stats(args) -> int:
 def cmd_analyze_avalanche(args) -> int:
     from sebq import analysis
 
-    if not _check_k(args.k):
-        return _fail(EXIT_USAGE, f"--k must be in 1..{MAX_SYMBOL_BITS}")
     if args.trials < 1:
         return _fail(EXIT_USAGE, "--trials must be positive")
     positions = tuple(range(args.positions))
@@ -219,8 +200,7 @@ def cmd_analyze_secure_order(args) -> int:
 
 
 def cmd_attack_cpa_column(args) -> int:
-    if not _check_k(args.k):
-        return _fail(EXIT_USAGE, f"--k must be in 1..{MAX_SYMBOL_BITS}")
+    _check_k(args.k)
     order = 1 << args.k
     if order > 16:
         return _fail(EXIT_USAGE, "attack demos are limited to order <= 16")
@@ -239,8 +219,7 @@ def cmd_attack_cpa_column(args) -> int:
 
 
 def cmd_attack_cca_recover(args) -> int:
-    if not _check_k(args.k):
-        return _fail(EXIT_USAGE, f"--k must be in 1..{MAX_SYMBOL_BITS}")
+    _check_k(args.k)
     order = 1 << args.k
     if order > 16:
         return _fail(EXIT_USAGE, "attack demos are limited to order <= 16")
@@ -367,12 +346,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except ValueError as exc:
+        code, prefix = next((c, p) for cls, c, p in _EXIT_CODES if isinstance(exc, cls))
+        return _fail(code, f"{prefix}{exc}")
 
 
 if __name__ == "__main__":

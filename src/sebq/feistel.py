@@ -57,11 +57,11 @@ class Expander(ABC):
 class QuasigroupSponge(Expander):
     """Default expander: absorb-then-squeeze over the secret quasigroup.
 
-    The seed is absorbed by chaining it through an all-zeros public leader;
-    output blocks are squeezed by chaining counter blocks (separated by a
-    constant domain tag) through the evolving state.  Keyed by the secret
-    table only; deterministic.  Not a proven PRF: treat it as a pluggable
-    placeholder with good empirical diffusion.
+    One chained run from an all-zeros public leader over the seed followed
+    by ``ceil(a/2)`` (domain tag, counter) pairs: the seed's outputs are
+    dropped (absorb) and the next ``a`` are the expansion (squeeze).  Keyed
+    by the secret table only; deterministic.  Not a proven PRF: treat it as
+    a pluggable placeholder with good empirical diffusion.
     """
 
     _TAG = 1
@@ -71,22 +71,16 @@ class QuasigroupSponge(Expander):
             raise ValueError("expander output length a must exceed 1")
         self.q = q
         self.a = a
+        tag = self._TAG % q.order
+        self._squeeze = [s for ctr in range((a + 1) // 2) for s in (tag, ctr % q.order)]
 
     def expand(self, seed: Sequence[int]) -> list[int]:
         if not seed:
             raise ValueError("empty expander seed")
-        order = self.q.order
-        _check_symbols(order, seed, "seed")
-        mul = self.q.mul_rows
-        _, state = _encrypt_chain(mul, [0] * len(seed), seed)
-        out: list[int] = []
-        ctr = 0
-        tag = self._TAG % order
-        while len(out) < self.a:
-            squeezed, state = _encrypt_chain(mul, state, (tag, ctr % order))
-            out.extend(squeezed)
-            ctr += 1
-        return out[: self.a]
+        _check_symbols(self.q.order, seed, "seed")
+        w = len(seed)
+        out, _ = _encrypt_chain(self.q.mul_rows, [0] * w, [*seed, *self._squeeze])
+        return out[w : w + self.a]
 
 
 class ConstantExpander(Expander):

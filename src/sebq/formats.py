@@ -8,6 +8,11 @@ Cipher frame (big-endian): magic ``SEBQ``, version byte, ``k`` (1 byte),
 ``n`` (2 bytes), then for version 2 the expander length ``a`` (2 bytes) and
 an expander identifier byte, then the plaintext bit length (8 bytes), the
 packed IV (``ceil(n*k/8)`` bytes), and the packed ciphertext payload.
+
+A header fixes the table lookups each payload block costs to decrypt
+(:func:`lookups_per_block`): ``n`` for version 1 and ``n**2 + 2n*ceil(a/2)
++ a`` for version 2.  Headers over :data:`MAX_LOOKUPS_PER_BLOCK` (4096) are
+refused on both sides, so a frame's decode work is bounded by its length.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 
 from sebq import feistel
 from sebq.cipher import (
+    MAX_SYMBOL_BITS,
     PaddingError,
     SebqKey,
     _pad_blocks,
@@ -29,11 +35,12 @@ from sebq.cipher import (
     unpack_bits,
     unpad,
 )
+from sebq.latin import LatinSquare, SeedLike, as_rng
 
 # Not used here: perfbench/spans.py wraps these names on this module, and its
 # tracer stops on a name it cannot resolve.
 from sebq.cipher import decrypt, encrypt, pad  # noqa: F401
-from sebq.latin import LatinSquare, SeedLike, as_rng, validate_latin_square
+from sebq.latin import validate_latin_square  # noqa: F401
 
 __all__ = [
     "KEY_HEADER",
@@ -46,12 +53,14 @@ __all__ = [
     "BadMagic",
     "KeyMismatch",
     "KeyFileError",
+    "MAX_LOOKUPS_PER_BLOCK",
     "CipherFrame",
     "key_to_text",
     "key_from_text",
     "save_key",
     "load_key",
     "key_fingerprint",
+    "lookups_per_block",
     "encode_frame",
     "decode_frame",
     "seal_bytes",
@@ -64,6 +73,10 @@ FRAME_V1 = 0x01
 FRAME_V2 = 0x02
 EXPANDER_SPONGE = 0x00
 EXPANDER_EXTERNAL = 0x01
+
+# some 20 times the default cca2 block (n=8, a=16: 208 lookups); also keeps
+# n and a inside their 16-bit header fields
+MAX_LOOKUPS_PER_BLOCK = 4096
 
 _FIXED_V1 = struct.Struct(">4sBBHQ")
 _FIXED_V2 = struct.Struct(">4sBBHHBQ")
@@ -107,17 +120,7 @@ def key_from_text(text: str) -> SebqKey:
         table = [[int(v) for v in row.split()] for row in rows]
     except ValueError:
         raise KeyFileError("non-integer table entry") from None
-    if any(len(r) != order for r in table):
-        raise KeyFileError("ragged table row")
-    try:
-        violation = validate_latin_square(table)
-    except ValueError as exc:
-        raise KeyFileError(str(exc)) from None
-    if violation is not None:
-        raise KeyFileError(
-            f"not a Latin square: symbol {violation.symbol} repeats in "
-            f"{violation.axis} {violation.index}"
-        )
+    # LatinSquare rejects ragged rows, out-of-range symbols and repeats
     try:
         return SebqKey.from_square(LatinSquare(table))
     except ValueError as exc:
@@ -165,6 +168,29 @@ def _padded_block_count(bit_length: int, k: int) -> int:
     return (bit_length + 1 + k - 1) // k
 
 
+def lookups_per_block(n: int, a: int | None = None) -> int:
+    """Table lookups one payload block costs under a header with ``n`` and ``a``.
+
+    ``n`` for a version-1 header (``a`` None).  For version 2 the sponge
+    absorbs the n-block seed (``n**2``) and squeezes ``ceil(a/2)`` pairs
+    (``2n*ceil(a/2)``), then the block folds through the a-block leader.
+    """
+    if a is None:
+        return n
+    return n * n + 2 * n * ((a + 1) // 2) + a
+
+
+def _check_header(k: int, n: int, a: int | None, error: type[ValueError]) -> None:
+    """Raise ``error`` unless a header's k, n and a (None for version 1) are usable."""
+    if not 1 <= k <= MAX_SYMBOL_BITS or n < 1:
+        raise error(f"bad frame parameters k={k} n={n}")
+    if a is not None and a < 2:
+        raise error(f"bad expander length a={a}")
+    work, cap = lookups_per_block(n, a), MAX_LOOKUPS_PER_BLOCK
+    if work > cap:
+        raise error(f"header n={n} a={a} costs {work} lookups per block, over the cap of {cap}")
+
+
 def encode_frame(
     key: SebqKey,
     iv: tuple[int, ...] | list[int],
@@ -174,16 +200,16 @@ def encode_frame(
     a: int | None = None,
     expander_id: int = EXPANDER_SPONGE,
 ) -> bytes:
-    """Assemble frame bytes; ``a`` switches the header to version 2."""
+    """Assemble frame bytes; ``a`` switches the header to version 2.
+
+    Raises ``ValueError`` for a header :func:`decode_frame` would refuse.
+    """
     n = len(iv)
-    if not 1 <= n <= 0xFFFF:
-        raise ValueError("iv block count must fit in 16 bits and be positive")
+    _check_header(key.k, n, a, ValueError)
     iv_bytes = pack_bits(list(iv), key.k)
     if a is None:
         head = _FIXED_V1.pack(FRAME_MAGIC, FRAME_V1, key.k, n, bit_length)
     else:
-        if not 1 < a <= 0xFFFF:
-            raise ValueError("expander length a must be in 2..65535")
         head = _FIXED_V2.pack(FRAME_MAGIC, FRAME_V2, key.k, n, a, expander_id, bit_length)
     return head + iv_bytes + payload
 
@@ -206,10 +232,7 @@ def decode_frame(data: bytes) -> CipherFrame:
         offset = _FIXED_V2.size
     else:
         raise FrameError(f"unsupported frame version {version}")
-    if not 1 <= k <= 8 or n < 1:
-        raise FrameError(f"bad frame parameters k={k} n={n}")
-    if version == FRAME_V2 and a < 2:
-        raise FrameError(f"bad expander length a={a}")
+    _check_header(k, n, a if version == FRAME_V2 else None, FrameError)
     iv_len = (n * k + 7) // 8
     blocks = _padded_block_count(bit_length, k)
     payload_len = (blocks * k + 7) // 8

@@ -152,25 +152,38 @@ class OracleSession:
 
     # -- encryption side ---------------------------------------------------
 
-    def encrypt_query(
-        self, message: Sequence[int], iv: Sequence[int] | None = None
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        message = tuple(message)
+    def _check_encrypt_budget(self) -> None:
         if self.max_encrypt_queries is not None and self.q_e >= self.max_encrypt_queries:
             raise QueryRestrictionError(
                 f"encryption query budget {self.max_encrypt_queries} exceeded"
             )
+
+    def _encrypt(
+        self, op: str, message: tuple[int, ...], iv: Sequence[int] | None = None, *, query=True
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Encrypt under ``iv`` (a fresh one when None) and log it as ``op``.
+
+        A ``query`` counts towards ``q_e`` and ``mu_e``; the challenge does not.
+        """
+        iv_t = tuple(iv) if iv is not None else self.scheme.fresh_iv(self._rng)
+        ct = self.scheme.encrypt(iv_t, message)
+        if query:
+            self.q_e += 1
+            self.mu_e += len(ct)
+        self.log.append({"op": op, "iv": list(iv_t), "ct": list(ct)})
+        return iv_t, ct
+
+    def encrypt_query(
+        self, message: Sequence[int], iv: Sequence[int] | None = None
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        message = tuple(message)
+        self._check_encrypt_budget()
         if iv is not None and not self.chosen_iv:
             raise UnsupportedConfiguration("session does not allow chosen IVs")
         if not self.allow_repeated_messages and message in self._seen_messages:
             raise QueryRestrictionError(f"repeated message query {message}")
         self._seen_messages.add(message)
-        iv_t = tuple(iv) if iv is not None else self.scheme.fresh_iv(self._rng)
-        ct = self.scheme.encrypt(iv_t, message)
-        self.q_e += 1
-        self.mu_e += len(ct)
-        self.log.append({"op": "encrypt", "iv": list(iv_t), "ct": list(ct)})
-        return iv_t, ct
+        return self._encrypt("encrypt", message, iv)
 
     def lr_query(
         self, x0: Sequence[int], x1: Sequence[int]
@@ -179,16 +192,8 @@ class OracleSession:
         x0, x1 = tuple(x0), tuple(x1)
         if len(x0) != len(x1):
             raise ValueError("left and right messages must have equal length")
-        if self.max_encrypt_queries is not None and self.q_e >= self.max_encrypt_queries:
-            raise QueryRestrictionError(
-                f"encryption query budget {self.max_encrypt_queries} exceeded"
-            )
-        iv_t = self.scheme.fresh_iv(self._rng)
-        ct = self.scheme.encrypt(iv_t, x1 if self._bit else x0)
-        self.q_e += 1
-        self.mu_e += len(ct)
-        self.log.append({"op": "lr", "iv": list(iv_t), "ct": list(ct)})
-        return iv_t, ct
+        self._check_encrypt_budget()
+        return self._encrypt("lr", x1 if self._bit else x0)
 
     def issue_challenge(
         self, x0: Sequence[int], x1: Sequence[int]
@@ -198,11 +203,8 @@ class OracleSession:
             raise ValueError("challenge messages must have equal length")
         if self.challenge is not None:
             raise QueryRestrictionError("challenge already issued")
-        iv_t = self.scheme.fresh_iv(self._rng)
-        ct = self.scheme.encrypt(iv_t, x1 if self._bit else x0)
-        self.challenge = (iv_t, ct)
-        self.log.append({"op": "challenge", "iv": list(iv_t), "ct": list(ct)})
-        return iv_t, ct
+        self.challenge = self._encrypt("challenge", x1 if self._bit else x0, query=False)
+        return self.challenge
 
     # -- decryption side ---------------------------------------------------
 
@@ -240,22 +242,28 @@ def lr_oracle(
 
 
 class RandomGuessStrategy:
-    """Baseline: pick two random messages, guess by coin flip."""
+    """Baseline: pick two distinct random messages, guess by coin flip.
+
+    The other strategies extend it: each draws its challenge pair here,
+    then does its own queries.
+    """
 
     def __init__(self, rng):
         self.rng = rng
+        self.x0 = 0
+        self.x1 = 1
 
     def challenge_pair(self, session):
         order = session.scheme.order
-        x0 = self.rng.randrange(order)
-        x1 = (x0 + 1 + self.rng.randrange(order - 1)) % order
-        return (x0,), (x1,)
+        self.x0 = self.rng.randrange(order)
+        self.x1 = (self.x0 + 1 + self.rng.randrange(order - 1)) % order
+        return (self.x0,), (self.x1,)
 
     def guess(self, session, challenge) -> int:
         return self.rng.randrange(2)
 
 
-class ExhaustiveCpaStrategy:
+class ExhaustiveCpaStrategy(RandomGuessStrategy):
     """Query every message outside the challenge pair once (restricted game).
 
     Builds the partial multiplication table those answers expose; the two
@@ -263,16 +271,11 @@ class ExhaustiveCpaStrategy:
     Intended for single-block messages and single-block leaders.
     """
 
-    def __init__(self, rng):
-        self.rng = rng
-        self.partial: Optional[np.ndarray] = None
-        self.x0 = 0
-        self.x1 = 1
+    partial: Optional[np.ndarray] = None
 
     def challenge_pair(self, session):
+        pair = super().challenge_pair(session)
         order = session.scheme.order
-        self.x0 = self.rng.randrange(order)
-        self.x1 = (self.x0 + 1 + self.rng.randrange(order - 1)) % order
         self.partial = np.full((order, order), -1, dtype=np.int64)
         for m in range(order):
             if m in (self.x0, self.x1):
@@ -280,13 +283,10 @@ class ExhaustiveCpaStrategy:
             (iv, ct) = session.encrypt_query((m,))
             if len(iv) == 1:
                 self.partial[iv[0], m] = ct[0]
-        return (self.x0,), (self.x1,)
-
-    def guess(self, session, challenge) -> int:
-        return self.rng.randrange(2)
+        return pair
 
 
-class RepeatedMessageCpaStrategy:
+class RepeatedMessageCpaStrategy(RandomGuessStrategy):
     """Chosen-IV repeated-message distinguisher (unrestricted game).
 
     Recovers the full table column of one challenge message and compares
@@ -294,18 +294,12 @@ class RepeatedMessageCpaStrategy:
     Requires chosen IVs, repeats allowed, and single-block leaders.
     """
 
-    def __init__(self, rng):
-        self.rng = rng
-        self.column: Optional[list[int]] = None
-        self.x0 = 0
-        self.x1 = 1
+    column: Optional[list[int]] = None
 
     def challenge_pair(self, session):
-        order = session.scheme.order
-        self.x0 = self.rng.randrange(order)
-        self.x1 = (self.x0 + 1 + self.rng.randrange(order - 1)) % order
+        pair = super().challenge_pair(session)
         self.column = cpa_column_recovery(session, self.x0)
-        return (self.x0,), (self.x1,)
+        return pair
 
     def guess(self, session, challenge) -> int:
         (iv, ct) = challenge
@@ -314,7 +308,7 @@ class RepeatedMessageCpaStrategy:
         return 0 if self.column[iv[0]] == ct[0] else 1
 
 
-class TableRecoveryCcaStrategy:
+class TableRecoveryCcaStrategy(RandomGuessStrategy):
     """Decryption-oracle table recovery, then decrypt the challenge locally.
 
     Against the plain scheme the completed table is exact and the guess is
@@ -323,17 +317,7 @@ class TableRecoveryCcaStrategy:
     guessing at chance level.
     """
 
-    def __init__(self, rng):
-        self.rng = rng
-        self.recovery: Optional[TableRecoveryResult] = None
-        self.x0 = 0
-        self.x1 = 1
-
-    def challenge_pair(self, session):
-        order = session.scheme.order
-        self.x0 = self.rng.randrange(order)
-        self.x1 = (self.x0 + 1 + self.rng.randrange(order - 1)) % order
-        return (self.x0,), (self.x1,)
+    recovery: Optional[TableRecoveryResult] = None
 
     def guess(self, session, challenge) -> int:
         (iv, ct) = challenge
@@ -377,18 +361,9 @@ class GameResult:
 
 
 def _run_game(
-    strategy_factory,
-    scheme_factory,
-    trials: int,
-    seed: SeedLike,
-    *,
-    decryption: bool,
-    chosen_iv: bool,
-    allow_repeated_messages: bool,
-    max_encrypt_queries: Optional[int],
-    max_decrypt_queries: Optional[int],
-    collect: bool,
+    strategy_factory, scheme_factory, trials: int, seed: SeedLike, collect: bool, **rules
 ) -> GameResult:
+    """Play ``trials`` games, each an :class:`OracleSession` under ``rules``."""
     if trials < 2:
         raise ValueError("need at least 2 trials")
     rng = as_rng(seed)
@@ -398,16 +373,7 @@ def _run_game(
     for t in range(trials):
         b = t & 1  # balanced branches
         scheme = scheme_factory(rng)
-        session = OracleSession(
-            scheme,
-            rng,
-            bit=b,
-            decryption=decryption,
-            chosen_iv=chosen_iv,
-            allow_repeated_messages=allow_repeated_messages,
-            max_encrypt_queries=max_encrypt_queries,
-            max_decrypt_queries=max_decrypt_queries,
-        )
+        session = OracleSession(scheme, rng, bit=b, **rules)
         strategy = strategy_factory(rng)
         x0, x1 = strategy.challenge_pair(session)
         challenge = session.issue_challenge(x0, x1)
@@ -431,28 +397,20 @@ def run_ind_cpa(
     trials: int = 1000,
     seed: SeedLike = None,
     *,
-    chosen_iv: bool = False,
-    allow_repeated_messages: bool = True,
-    max_encrypt_queries: Optional[int] = None,
     collect: bool = False,
+    **rules,
 ) -> GameResult:
     """Estimate the chosen-plaintext advantage of a strategy.
 
     Per trial: fresh hidden key, fresh hidden bit (balanced across trials),
     encryption oracle only.  Returns ``Pr[guess 1 | b=1] - Pr[guess 1 | b=0]``.
-    Query-rule violations abort the run with :class:`QueryRestrictionError`.
+    ``rules`` are the :class:`OracleSession` query rules ``chosen_iv``,
+    ``allow_repeated_messages`` and ``max_encrypt_queries``.  Query-rule
+    violations abort the run with :class:`QueryRestrictionError`.
     """
     return _run_game(
-        strategy_factory,
-        scheme_factory,
-        trials,
-        seed,
-        decryption=False,
-        chosen_iv=chosen_iv,
-        allow_repeated_messages=allow_repeated_messages,
-        max_encrypt_queries=max_encrypt_queries,
-        max_decrypt_queries=None,
-        collect=collect,
+        strategy_factory, scheme_factory, trials, seed, collect,
+        decryption=False, max_decrypt_queries=None, **rules,
     )
 
 
@@ -462,25 +420,14 @@ def run_ind_cca(
     trials: int = 1000,
     seed: SeedLike = None,
     *,
-    chosen_iv: bool = False,
-    allow_repeated_messages: bool = True,
-    max_encrypt_queries: Optional[int] = None,
-    max_decrypt_queries: Optional[int] = None,
     collect: bool = False,
+    **rules,
 ) -> GameResult:
-    """Like :func:`run_ind_cpa` but with a challenge-excluding decryption oracle."""
-    return _run_game(
-        strategy_factory,
-        scheme_factory,
-        trials,
-        seed,
-        decryption=True,
-        chosen_iv=chosen_iv,
-        allow_repeated_messages=allow_repeated_messages,
-        max_encrypt_queries=max_encrypt_queries,
-        max_decrypt_queries=max_decrypt_queries,
-        collect=collect,
-    )
+    """Like :func:`run_ind_cpa` but with a challenge-excluding decryption oracle.
+
+    ``rules`` may also set ``max_decrypt_queries``.
+    """
+    return _run_game(strategy_factory, scheme_factory, trials, seed, collect, decryption=True, **rules)
 
 
 # -- attacks ----------------------------------------------------------------
@@ -594,9 +541,6 @@ class PartialLatinSquare:
     @property
     def order(self) -> int:
         return self.cells.shape[0]
-
-    def unknown_count(self) -> int:
-        return int(np.count_nonzero(self.cells < 0))
 
 
 @dataclass(frozen=True)

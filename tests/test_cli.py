@@ -281,3 +281,37 @@ class TestAttack:
     def test_oversized_order_rejected(self, capsys):
         code, _, _ = run(capsys, "attack", "cca-recover", "--k", "8", "--trials", "10")
         assert code == 1
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["keygen", "--k", "abc", "--out", "x.lsq"],
+            ["encrypt", "--in", "m.bin", "--out", "m.sebq"],  # no --key
+            ["frobnicate"],
+            [],
+        ],
+    )
+    def test_argparse_error_exits_1(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "usage:" in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert "usage:" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "stats", "--k", "9"],
+            ["analyze", "opcount", "--n", "2", "--k", "9", "--l", "2"],
+            ["attack", "cpa-column", "--k", "0", "--message", "0"],
+        ],
+    )
+    def test_bad_k_exits_1_with_library_message(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: k must be in 1..8")

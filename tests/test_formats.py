@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 
@@ -8,12 +9,14 @@ from sebq.formats import (
     FrameError,
     KeyFileError,
     KeyMismatch,
+    MAX_LOOKUPS_PER_BLOCK,
     decode_frame,
     encode_frame,
     key_fingerprint,
     key_from_text,
     key_to_text,
     load_key,
+    lookups_per_block,
     open_bytes,
     save_key,
     seal_bytes,
@@ -174,3 +177,41 @@ class TestSealOpen:
                 outcomes["garbled" if out != data else "clean"] += 1
         assert outcomes["clean"] == 0
         assert outcomes["padding"] + outcomes["garbled"] == 40
+
+
+class TestWorkCap:
+    def test_default_cca2_block(self):
+        assert lookups_per_block(8) == 8
+        assert lookups_per_block(8, 16) == 208
+
+    def test_rewritten_expander_length_rejected(self):
+        key = keygen(4, 6)
+        frame = bytearray(seal_bytes(key, bytes(2048), n=8, seed=1, scheme="cca2"))
+        frame[8:10] = (65535).to_bytes(2, "big")  # the v2 header's expander length
+        with pytest.raises(FrameError, match="cap"):
+            decode_frame(bytes(frame))
+
+    @pytest.mark.parametrize(
+        "n, a", [(4096, None), (4097, None), (1, 2047), (1, 2048), (8, 16), (64, 2)]
+    )
+    def test_seal_refuses_what_decode_refuses(self, n, a):
+        k, bits = 2, 8
+        over = lookups_per_block(n, a) > MAX_LOOKUPS_PER_BLOCK
+        # the same header packed by hand, past the encoder's own check
+        if a is None:
+            head = struct.pack(">4sBBHQ", b"SEBQ", 1, k, n, bits)
+        else:
+            head = struct.pack(">4sBBHHBQ", b"SEBQ", 2, k, n, a, 0, bits)
+        blob = head + bytes((n * k + 7) // 8) + bytes(2)  # 8 bits pad to 5 blocks, 2 bytes
+        key = keygen(k, 1)
+        scheme = "plain" if a is None else "cca2"
+        if over:
+            with pytest.raises(FrameError, match="cap"):
+                decode_frame(blob)
+            with pytest.raises(ValueError, match="cap") as exc:
+                seal_bytes(key, b"x", iv=[0] * n, scheme=scheme, a=a)
+            assert not isinstance(exc.value, FrameError)  # sebq encrypt exits 1, not 3
+        else:
+            assert decode_frame(blob).n == n
+            frame = seal_bytes(key, b"x", iv=[0] * n, scheme=scheme, a=a)
+            assert open_bytes(key, frame) == b"x"
