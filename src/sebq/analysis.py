@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from sebq.cipher import SebqKey, _bits_from_blocks, _blocks_from_bits, encrypt, keygen
-from sebq.latin import Quasigroup, SeedLike, as_rng, intercalate_swap
+from sebq.latin import Quasigroup, SeedLike, as_rng, intercalate_swap, latin_square_log2_bounds
 from sebq.transforms import _encrypt_chain
 
 __all__ = [
@@ -237,14 +237,7 @@ def approximate_entropy_test(bits, alpha: float = 0.01, m: int = 2) -> TestRepor
     return _report("approx_entropy", gammaincc(2 ** (m - 1), chi2 / 2.0), alpha, n)
 
 
-def randomness_suite(
-    bits,
-    alpha: float = 0.01,
-    *,
-    block_size: int = 128,
-    serial_m: int = 5,
-    apen_m: int = 2,
-) -> list[TestReport]:
+def randomness_suite(bits, alpha: float = 0.01) -> list[TestReport]:
     """Run the full battery on one bit sequence.
 
     Sub-tests whose minimum length is not met come back flagged as skipped
@@ -255,14 +248,14 @@ def randomness_suite(
         raise ValueError("suite needs at least 100 bits")
     reports = [
         frequency_test(b, alpha),
-        block_frequency_test(b, alpha, block_size),
+        block_frequency_test(b, alpha),
         runs_test(b, alpha),
         longest_run_test(b, alpha),
         cumulative_sums_test(b, alpha, forward=True),
         cumulative_sums_test(b, alpha, forward=False),
     ]
-    reports.extend(serial_test(b, alpha, serial_m))
-    reports.append(approximate_entropy_test(b, alpha, apen_m))
+    reports.extend(serial_test(b, alpha))
+    reports.append(approximate_entropy_test(b, alpha))
     return reports
 
 
@@ -386,14 +379,14 @@ def avalanche(
     ``"key"`` the table is perturbed by ``trials`` random intercalate
     swaps (the smallest Latin-preserving change) instead of bit flips.
     """
+    if target in ("plaintext", "iv") and not positions:
+        raise ValueError(f"{target} avalanche needs flip positions")
     rng = as_rng(seed)
     bits = _as_bits(message_bits)
     iv = list(iv)
     base_ct = encrypt_bit_sequence(key, iv, bits)
     percents = []
     if target == "plaintext":
-        if positions is None:
-            raise ValueError("plaintext avalanche needs flip positions")
         for p in positions:
             if not 0 <= p < bits.size:
                 raise ValueError(f"flip position {p} out of range")
@@ -401,8 +394,6 @@ def avalanche(
             flipped[p] ^= 1
             percents.append(_hamming_pct(base_ct, encrypt_bit_sequence(key, iv, flipped)))
     elif target == "iv":
-        if positions is None:
-            raise ValueError("iv avalanche needs flip positions")
         k = key.k
         for p in positions:
             if not 0 <= p < len(iv) * k:
@@ -538,8 +529,6 @@ def latin_count_log2(m: int, policy: str = "exact") -> float:
     factorial lower bound beyond; ``"lower"`` uses the lower bound for
     every order.
     """
-    from sebq.latin import latin_square_log2_bounds
-
     if m < 1:
         raise ValueError("order must be positive")
     if policy == "exact" and m in EXACT_LATIN_COUNTS:
@@ -560,6 +549,8 @@ def min_secure_order(
     """
     if target_bits < 1:
         raise ValueError("target_bits must be positive")
+    if ops_per_trial < 1:
+        raise ValueError("ops_per_trial must be positive")
     log2_ops = math.log2(ops_per_trial)
     m = 1
     while latin_count_log2(m, policy) + log2_ops < target_bits:
@@ -575,24 +566,22 @@ def secure_order_report(target_bits: int, ops_per_trial: int = 380) -> dict:
     (order > 11 for 128-bit, > 13 for 256-bit) sits between the two, so
     the report carries all three.
     """
-    rows = []
-    top = max(
-        min_secure_order(target_bits, ops_per_trial, "exact"),
-        min_secure_order(target_bits, ops_per_trial, "lower"),
-    )
-    for m in range(max(1, top - 3), top + 2):
-        rows.append(
-            {
-                "order": m,
-                "log2_count_exact": latin_count_log2(m, "exact"),
-                "log2_count_lower": latin_count_log2(m, "lower"),
-            }
-        )
+    exact = min_secure_order(target_bits, ops_per_trial, "exact")
+    lower = min_secure_order(target_bits, ops_per_trial, "lower")
+    top = max(exact, lower)
+    rows = [
+        {
+            "order": m,
+            "log2_count_exact": latin_count_log2(m, "exact"),
+            "log2_count_lower": latin_count_log2(m, "lower"),
+        }
+        for m in range(max(1, top - 3), top + 2)
+    ]
     return {
         "target_bits": target_bits,
         "ops_per_trial": ops_per_trial,
-        "order_exact_policy": min_secure_order(target_bits, ops_per_trial, "exact"),
-        "order_lower_policy": min_secure_order(target_bits, ops_per_trial, "lower"),
+        "order_exact_policy": exact,
+        "order_lower_policy": lower,
         "published_guidance": {128: "order > 11", 256: "order > 13"}.get(
             target_bits, "none stated"
         ),

@@ -36,6 +36,7 @@ _EXIT_CODES = (
     (formats.FrameError, EXIT_MAGIC, "corrupt frame: "),
     (formats.KeyFileError, EXIT_IO, "bad key file: "),
     (ValueError, EXIT_USAGE, ""),
+    (OSError, EXIT_IO, ""),
 )
 
 
@@ -46,10 +47,7 @@ def _fail(code: int, message: str) -> int:
 
 def cmd_keygen(args) -> int:
     key = keygen(args.k, args.seed)
-    try:
-        formats.save_key(args.out, key)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write key file: {exc}")
+    formats.save_key(args.out, key)
     print(f"order {key.order}")
     print(f"fingerprint {formats.key_fingerprint(key)}")
     print(f"wrote {args.out}")
@@ -58,11 +56,8 @@ def cmd_keygen(args) -> int:
 
 def cmd_encrypt(args) -> int:
     key = formats.load_key(args.key)
-    try:
-        with open(args.infile, "rb") as fp:
-            data = fp.read()
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read input: {exc}")
+    with open(args.infile, "rb") as fp:
+        data = fp.read()
     iv = None
     if args.iv_hex is not None:
         raw = bytes.fromhex(args.iv_hex)
@@ -72,28 +67,19 @@ def cmd_encrypt(args) -> int:
     frame = formats.seal_bytes(
         key, data, n=args.n, seed=args.seed, iv=iv, scheme=args.scheme, a=args.a
     )
-    try:
-        with open(args.out, "wb") as fp:
-            fp.write(frame)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write frame: {exc}")
+    with open(args.out, "wb") as fp:
+        fp.write(frame)
     print(f"wrote {args.out}: {len(data)} plaintext bytes, frame {len(frame)} bytes, scheme {args.scheme}")
     return EXIT_OK
 
 
 def cmd_decrypt(args) -> int:
     key = formats.load_key(args.key)
-    try:
-        with open(args.infile, "rb") as fp:
-            blob = fp.read()
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read frame: {exc}")
+    with open(args.infile, "rb") as fp:
+        blob = fp.read()
     data = formats.open_bytes(key, blob)
-    try:
-        with open(args.out, "wb") as fp:
-            fp.write(data)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write output: {exc}")
+    with open(args.out, "wb") as fp:
+        fp.write(data)
     print(f"wrote {args.out}: {len(data)} bytes")
     return EXIT_OK
 
@@ -168,16 +154,14 @@ def cmd_analyze_avalanche(args) -> int:
 def cmd_analyze_opcount(args) -> int:
     from sebq import analysis
 
-    if args.l < 1 or args.n < 1:
-        return _fail(EXIT_USAGE, "--n and --l must be positive")
     ops = analysis.operation_count(args.n, args.k, args.l)
-    print(ops)
-    print(f"per direction: {ops}; full round trip: {2 * ops}")
     key = keygen(args.k, args.seed if args.seed is not None else 0)
     rng = as_rng(args.seed)
     iv = [rng.randrange(key.order) for _ in range(args.n)]
     msg = [rng.randrange(key.order) for _ in range(args.l)]
     lookups, xors = analysis.instrumented_counts(key, iv, msg)
+    print(ops)
+    print(f"per direction: {ops}; full round trip: {2 * ops}")
     print(f"instrumented: {lookups} table lookups (n*l), {xors} checksum xors ((n-1)*l)")
     print(analysis.OPCOUNT_DISCREPANCY_NOTE)
     return EXIT_OK
@@ -186,8 +170,6 @@ def cmd_analyze_opcount(args) -> int:
 def cmd_analyze_secure_order(args) -> int:
     from sebq import analysis
 
-    if args.bits < 1:
-        return _fail(EXIT_USAGE, "--bits must be positive")
     rep = analysis.secure_order_report(args.bits, args.ops)
     print(f"minimum secure order, exact-count policy: {rep['order_exact_policy']}")
     print(f"minimum secure order, lower-bound policy: {rep['order_lower_policy']}")
@@ -199,11 +181,15 @@ def cmd_analyze_secure_order(args) -> int:
     return EXIT_OK
 
 
+def _attack_order(k: int) -> int:
+    _check_k(k)
+    if k > 4:
+        raise ValueError("attack demos are limited to order <= 16")
+    return 1 << k
+
+
 def cmd_attack_cpa_column(args) -> int:
-    _check_k(args.k)
-    order = 1 << args.k
-    if order > 16:
-        return _fail(EXIT_USAGE, "attack demos are limited to order <= 16")
+    order = _attack_order(args.k)
     if not 0 <= args.message < order:
         return _fail(EXIT_USAGE, f"--message must be in 0..{order - 1}")
     rng = as_rng(args.seed)
@@ -219,10 +205,7 @@ def cmd_attack_cpa_column(args) -> int:
 
 
 def cmd_attack_cca_recover(args) -> int:
-    _check_k(args.k)
-    order = 1 << args.k
-    if order > 16:
-        return _fail(EXIT_USAGE, "attack demos are limited to order <= 16")
+    order = _attack_order(args.k)
     if args.trials < 2:
         return _fail(EXIT_USAGE, "--trials must be at least 2")
     rng = as_rng(args.seed)
@@ -353,7 +336,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         code, prefix = next((c, p) for cls, c, p in _EXIT_CODES if isinstance(exc, cls))
         return _fail(code, f"{prefix}{exc}")
 

@@ -266,23 +266,16 @@ class RandomGuessStrategy:
 class ExhaustiveCpaStrategy(RandomGuessStrategy):
     """Query every message outside the challenge pair once (restricted game).
 
-    Builds the partial multiplication table those answers expose; the two
-    unqueried columns stay ambiguous, so the final guess is a coin flip.
-    Intended for single-block messages and single-block leaders.
+    The answers expose every table column but the challenge pair's two,
+    which stay ambiguous, so the final guess is a coin flip.  Intended for
+    single-block messages and single-block leaders.
     """
-
-    partial: Optional[np.ndarray] = None
 
     def challenge_pair(self, session):
         pair = super().challenge_pair(session)
-        order = session.scheme.order
-        self.partial = np.full((order, order), -1, dtype=np.int64)
-        for m in range(order):
-            if m in (self.x0, self.x1):
-                continue
-            (iv, ct) = session.encrypt_query((m,))
-            if len(iv) == 1:
-                self.partial[iv[0], m] = ct[0]
+        for m in range(session.scheme.order):
+            if m not in (self.x0, self.x1):
+                session.encrypt_query((m,))
         return pair
 
 

@@ -183,7 +183,7 @@ def parastrophe(square: LatinSquare) -> LatinSquare:
     """
     if not isinstance(square, LatinSquare):
         square = LatinSquare(square)
-    return LatinSquare(np.argsort(square.table, axis=1))
+    return Quasigroup.from_square(square).ldiv
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +207,13 @@ class Quasigroup:
 
     @classmethod
     def from_square(cls, square: LatinSquare) -> "Quasigroup":
-        return cls(square, parastrophe(square))
+        # each row's inverse permutation; once `square` is Latin, the pair
+        # check in __post_init__ proves this table Latin without a scan
+        ldiv = object.__new__(LatinSquare)
+        table = np.argsort(square.table, axis=1)
+        table.setflags(write=False)
+        object.__setattr__(ldiv, "table", table)
+        return cls(square, ldiv)
 
     @property
     def order(self) -> int:
@@ -251,7 +257,7 @@ def xor_latin_square(n: int) -> LatinSquare:
     return LatinSquare(idx[:, None] ^ idx[None, :])
 
 
-def random_latin_square(order: int, seed: SeedLike = None, *, moves: int | None = None) -> LatinSquare:
+def random_latin_square(order: int, seed: SeedLike = None) -> LatinSquare:
     """Sample a random Latin square of the given order.
 
     Runs a random walk over proper and improper squares (single-cell
@@ -264,10 +270,6 @@ def random_latin_square(order: int, seed: SeedLike = None, *, moves: int | None 
         Square order, at least 1.
     seed : int, random.Random, or None
         Entropy source; ``None`` uses OS entropy.
-    moves : int, optional
-        Walk length override.  The default scales with ``order**3`` and is
-        capped so that large orders stay fast; the order-4 output passes a
-        chi-square uniformity test over all 576 squares.
 
     Returns
     -------
@@ -301,7 +303,7 @@ def random_latin_square(order: int, seed: SeedLike = None, *, moves: int | None 
     # are free moves.  The n=4 budget is validated against the uniformity
     # oracle; larger orders are capped for speed (isotopy randomization of
     # the start already decorrelates them).
-    steps = max(256, min(n * n * n, 1536)) if moves is None else moves
+    steps = max(256, min(n * n * n, 1536))
 
     gen = np.random.Generator(np.random.PCG64(rng.getrandbits(128)))
     BUF = 8192

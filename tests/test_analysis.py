@@ -128,6 +128,12 @@ class TestAvalanche:
         with pytest.raises(ValueError):
             avalanche("iv", key, [0], [1, 0, 1, 1], positions=[4])
 
+    @pytest.mark.parametrize("target", ["plaintext", "iv"])
+    def test_empty_positions_named(self, target):
+        key = keygen(4, 2)
+        with pytest.raises(ValueError, match=f"^{target} avalanche needs flip positions"):
+            avalanche(target, key, [0], [1, 0, 1, 1], positions=())
+
     def test_unknown_target(self):
         key = keygen(4, 2)
         with pytest.raises(ValueError):
@@ -186,6 +192,10 @@ class TestSecureOrder:
 
     def test_lower_policy_256(self):
         assert min_secure_order(256, policy="lower") == 14
+
+    def test_rejects_non_positive_ops(self):
+        with pytest.raises(ValueError, match="ops_per_trial"):
+            min_secure_order(128, ops_per_trial=0)
 
     def test_trivial_target(self):
         assert min_secure_order(1) == 1

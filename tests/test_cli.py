@@ -233,6 +233,24 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", "stats", "--trials", "0")
         assert code == 1
 
+    def test_opcount_failure_prints_nothing(self, capsys):
+        code, out, err = run(capsys, "analyze", "opcount", "--n", "2", "--k", "9", "--l", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["analyze", "avalanche", "--target", "iv", "--positions", "0", "--bits", "400"], "iv"),
+            (["analyze", "secure-order", "--bits", "128", "--ops", "0"], "ops_per_trial"),
+        ],
+    )
+    def test_bad_analysis_parameter_named(self, capsys, argv, name):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and name in err
+
     def test_avalanche_smoke(self, capsys, tmp_path):
         out_csv = tmp_path / "aval.csv"
         code, out, _ = run(
@@ -315,3 +333,22 @@ class TestUsage:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("error: k must be in 1..8")
+
+
+class TestReportPaths:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "stats", "--k", "2", "--n", "4", "--bits", "400", "--trials", "1", "--seed", "1", "--out"],
+            ["analyze", "avalanche", "--target", "plaintext", "--k", "2", "--n", "4", "--bits", "400",
+             "--trials", "2", "--positions", "2", "--seed", "1", "--out"],
+            ["analyze", "secure-order", "--bits", "128", "--json"],
+            ["attack", "cca-recover", "--k", "2", "--trials", "2", "--seed", "1", "--transcript"],
+        ],
+    )
+    def test_unwritable_report_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "report.out"
+        code, _, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and str(path) in err

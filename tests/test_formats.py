@@ -3,6 +3,7 @@ import struct
 
 import pytest
 
+import sebq.latin
 from sebq.cipher import PaddingError, encrypt, keygen, pack_bits
 from sebq.formats import (
     BadMagic,
@@ -71,6 +72,31 @@ class TestKeyFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(KeyFileError):
             load_key(tmp_path / "nope.lsq")
+
+
+class TestOneLatinScanPerKey:
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        real = sebq.latin.validate_latin_square
+
+        def counting(table):
+            calls.append(1)
+            return real(table)
+
+        monkeypatch.setattr(sebq.latin, "validate_latin_square", counting)
+        return calls
+
+    def test_keygen(self, scans):
+        key = keygen(8, 11)
+        assert len(scans) == 1
+        assert not key.q.ldiv.table.flags.writeable
+
+    def test_key_file(self, scans):
+        text = key_to_text(keygen(8, 11))
+        scans.clear()
+        key_from_text(text)
+        assert len(scans) == 1
 
 
 class TestFrameCodec:
