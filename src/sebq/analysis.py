@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from sebq.cipher import SebqKey, _bits_from_blocks, _blocks_from_bits, encrypt, keygen
-from sebq.latin import Quasigroup, SeedLike, as_rng, intercalate_swap, latin_square_log2_bounds
+from sebq.latin import SeedLike, as_rng, intercalate_swap, latin_square_log2_bounds
 from sebq.transforms import _encrypt_chain
 
 __all__ = [
@@ -369,7 +369,7 @@ def avalanche(
     message_bits,
     *,
     positions: Sequence[int] | None = None,
-    trials: int | None = None,
+    trials: int = 10,
     seed: SeedLike = None,
 ) -> AvalancheReport:
     """Single-baseline avalanche measurement.
@@ -381,6 +381,8 @@ def avalanche(
     """
     if target in ("plaintext", "iv") and not positions:
         raise ValueError(f"{target} avalanche needs flip positions")
+    if target == "key" and trials < 1:
+        raise ValueError("key avalanche needs at least one swap")
     rng = as_rng(seed)
     bits = _as_bits(message_bits)
     iv = list(iv)
@@ -402,12 +404,8 @@ def avalanche(
             iv2[p // k] ^= 1 << (k - 1 - p % k)
             percents.append(_hamming_pct(base_ct, encrypt_bit_sequence(key, iv2, bits)))
     elif target == "key":
-        if trials is None:
-            trials = 10
         for _ in range(trials):
-            perturbed = SebqKey(
-                Quasigroup.from_square(intercalate_swap(key.q.mul, rng)), key.k
-            )
+            perturbed = SebqKey.from_square(intercalate_swap(key.q.mul, rng))
             percents.append(_hamming_pct(base_ct, encrypt_bit_sequence(perturbed, iv, bits)))
     else:
         raise ValueError(f"unknown avalanche target {target!r}")
@@ -432,7 +430,8 @@ def avalanche_experiment(
 
     Defaults mirror the reference setup: order-16 key, 400-bit IV,
     4000-bit random plaintext, 10 experiments over 10 flip positions (for
-    the key target, 10 swaps per experiment).
+    the key target, ``flips_per_experiment`` swaps per experiment, by
+    default one per flip position).
     """
     rng = as_rng(seed)
     rows = []
@@ -442,7 +441,7 @@ def avalanche_experiment(
         iv = [rng.randrange(key.order) for _ in range(leader_blocks)]
         pt = _experiment_plaintext("random", message_bits, rng)
         if target == "key":
-            flips = flips_per_experiment or len(pos) or 10
+            flips = flips_per_experiment or len(pos)
             rep = avalanche(target, key, iv, pt, trials=flips, seed=rng)
         else:
             rep = avalanche(target, key, iv, pt, positions=pos, seed=rng)

@@ -11,12 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from sebq.latin import LatinSquare, Quasigroup, SeedLike, random_latin_square
-from sebq.transforms import _check_symbols, _decrypt_chain, _encrypt_chain, _kernel, compress_fold
+from sebq.transforms import _check_symbols, _decrypt_chain, _encrypt_chain, _kernel
+from sebq.transforms import compress_fold, d_transform, e_transform
+
+if TYPE_CHECKING:
+    from sebq.feistel import Expander
 
 __all__ = [
     "MAX_SYMBOL_BITS",
@@ -37,9 +41,6 @@ __all__ = [
 # an order-256 table is 64 KiB; 2**16 would be gigabytes
 MAX_SYMBOL_BITS = 8
 
-# maps a leader seed to the leader one block runs under (an Expander's expand)
-Expand = Callable[[Sequence[int]], Sequence[int]]
-
 # a compiled call costs what some 64 Python lookups do (a few microseconds);
 # shorter plain runs, such as single blocks, stay in Python
 _C_MIN_LOOKUPS = 64
@@ -56,19 +57,22 @@ def _check_k(k: int) -> None:
 
 @dataclass(frozen=True)
 class SebqKey:
-    """Secret key: a quasigroup of order ``2**k`` over k-bit symbols."""
+    """Secret key: a quasigroup of order ``2**k`` over k-bit symbols, ``k`` read off the order."""
 
     q: Quasigroup
-    k: int
 
     def __post_init__(self):
+        if self.order != 1 << self.k:
+            raise ValueError("key square order must be a power of two")
         _check_k(self.k)
-        if self.q.order != 1 << self.k:
-            raise ValueError(f"key order {self.q.order} does not match k={self.k}")
 
     @property
     def order(self) -> int:
         return self.q.order
+
+    @property
+    def k(self) -> int:
+        return self.order.bit_length() - 1
 
     @property
     def base(self) -> "SebqKey":
@@ -82,10 +86,7 @@ class SebqKey:
 
     @classmethod
     def from_square(cls, square: LatinSquare) -> "SebqKey":
-        k = square.order.bit_length() - 1
-        if square.order != 1 << k:
-            raise ValueError("key square order must be a power of two")
-        return cls(Quasigroup.from_square(square), k)
+        return cls(Quasigroup.from_square(square))
 
 
 @dataclass(frozen=True)
@@ -110,23 +111,18 @@ def keygen(k: int, seed: SeedLike = None) -> SebqKey:
     Deterministic for a fixed seed; k is in ``1..MAX_SYMBOL_BITS``.
     """
     _check_k(k)
-    square = random_latin_square(1 << k, seed)
-    return SebqKey(Quasigroup.from_square(square), k)
+    return SebqKey.from_square(random_latin_square(1 << k, seed))
 
 
 def encrypt_block(key: SebqKey, m: int, state: CipherState) -> tuple[int, CipherState]:
     """Encrypt one block: fold through the leader, then advance the leader."""
-    _check_symbols(key.order, (m,), "message")
-    _check_symbols(key.order, state.leader, "state")
-    (c,), leader = _encrypt_chain(key.q.mul_rows, state.leader, (m,))
+    (c,), leader = e_transform(key.q, state.leader, (m,))
     return c, CipherState(leader)
 
 
 def decrypt_block(key: SebqKey, c: int, state: CipherState) -> tuple[int, CipherState]:
     """Invert :func:`encrypt_block`; the returned state matches the encrypt side."""
-    _check_symbols(key.order, (c,), "ciphertext")
-    _check_symbols(key.order, state.leader, "state")
-    (m,), leader = _decrypt_chain(key.q.ldiv_rows, state.leader, (c,))
+    (m,), leader = d_transform(key.q, state.leader, (c,))
     return m, CipherState(leader)
 
 
@@ -134,14 +130,14 @@ def _listed(v):
     return v.tolist() if isinstance(v, np.ndarray) else v
 
 
-def _run(key: SebqKey, iv, blocks, expand: Expand | None, inverse: bool):
+def _run(key: SebqKey, iv, blocks, expander: Expander | None, inverse: bool):
     """Check the input, then run the chain over ``blocks`` (its inverse with ``inverse``).
 
-    Without ``expand`` the chain runs over the whole string under the IV.
-    With it, each block runs under its own leader ``expand(seed)`` and the
-    advanced leader is XOR-folded back to seed width for the next block;
-    the first seed is the IV.  The branch stays outside the per-block loop,
-    so the plain path pays nothing for the expander.  A plain run of at
+    Without an ``expander`` the chain runs over the whole string under the
+    IV.  With one, each block runs under its own leader ``expander.expand(seed)``
+    and the advanced leader is XOR-folded back to seed width for the next
+    block; the first seed is the IV.  The branch stays outside the per-block
+    loop, so the plain path pays nothing for the expander.  A plain run of at
     least ``_C_MIN_LOOKUPS`` lookups goes to the compiled loop when one is
     loaded and comes back as a ``uint8`` array; the Python loops return a
     list.
@@ -150,12 +146,13 @@ def _run(key: SebqKey, iv, blocks, expand: Expand | None, inverse: bool):
         raise ValueError("iv must hold at least one block")
     _check_symbols(key.order, iv, "iv")
     _check_symbols(key.order, blocks, "ciphertext" if inverse else "message")
-    if expand is None and len(iv) * len(blocks) >= _C_MIN_LOOKUPS and _kernel() is not None:
+    if expander is None and len(iv) * len(blocks) >= _C_MIN_LOOKUPS and _kernel() is not None:
         return _kernel().run(key._tables[inverse], key.k, iv, blocks, inverse)[0]
     chain, rows = (_decrypt_chain, key.q.ldiv_rows) if inverse else (_encrypt_chain, key.q.mul_rows)
     iv, blocks = _listed(iv), _listed(blocks)
-    if expand is None:
+    if expander is None:
         return chain(rows, iv, blocks)[0]
+    expand = expander.expand
     order = len(rows)
     width = len(iv)
     seed = iv
@@ -172,23 +169,22 @@ def _run(key: SebqKey, iv, blocks, expand: Expand | None, inverse: bool):
 
 
 def encrypt(
-    key: SebqKey, iv: Sequence[int], message: Sequence[int], expand: Expand | None = None
+    key: SebqKey, iv: Sequence[int], message: Sequence[int], expander: Expander | None = None
 ) -> list[int]:
     """Encrypt a block sequence under an initial leader vector.
 
     Runs the chained double loop: per message block, fold through the
     current leader while recording the chain, emit the last chain value as
-    ciphertext, then XOR-checksum the chain into the next leader.  With
-    ``expand`` (an expander's ``expand`` method) this is the
-    chosen-ciphertext-hardened mode: every block's leader is ``expand`` of
-    a seed that starts at ``iv``.  The ``iv`` itself is unmodified and must
-    travel with the ciphertext.
+    ciphertext, then XOR-checksum the chain into the next leader.  With an
+    ``expander`` this is the chosen-ciphertext-hardened mode: every block's
+    leader is ``expander.expand`` of a seed that starts at ``iv``.  The
+    ``iv`` itself is unmodified and must travel with the ciphertext.
     """
-    return _listed(_run(key, iv, message, expand, inverse=False))
+    return _listed(_run(key, iv, message, expander, inverse=False))
 
 
 def decrypt(
-    key: SebqKey, iv: Sequence[int], ciphertext: Sequence[int], expand: Expand | None = None
+    key: SebqKey, iv: Sequence[int], ciphertext: Sequence[int], expander: Expander | None = None
 ) -> list[int]:
     """Invert :func:`encrypt` for the same key, IV and expander.
 
@@ -196,7 +192,7 @@ def decrypt(
     left-division table, so the internal state sequence matches the
     encrypt run block for block.
     """
-    return _listed(_run(key, iv, ciphertext, expand, inverse=True))
+    return _listed(_run(key, iv, ciphertext, expander, inverse=True))
 
 
 # one strided column per bit: a few times faster than packbits/unpackbits along rows

@@ -43,14 +43,17 @@ __all__ = [
 class Expander(ABC):
     """Deterministic seed-to-leader stretch with fixed output length ``a > 1``."""
 
-    a: int
+    def __init__(self, a: int):
+        if a <= 1:
+            raise ValueError("expander output length a must exceed 1")
+        self.a = a
 
     @abstractmethod
     def expand(self, seed: Sequence[int]) -> list[int]:
         """Map a non-empty block seed to exactly ``a`` blocks.
 
-        The blocks must be symbols of the key's order: the cipher runs its
-        table lookups on them unchecked.
+        The blocks must be symbols of the key's order: the cipher refuses a
+        leader that holds any other value.
         """
 
 
@@ -67,10 +70,8 @@ class QuasigroupSponge(Expander):
     _TAG = 1
 
     def __init__(self, q: Quasigroup, a: int):
-        if a <= 1:
-            raise ValueError("expander output length a must exceed 1")
+        super().__init__(a)
         self.q = q
-        self.a = a
         tag = self._TAG % q.order
         self._squeeze = [s for ctr in range((a + 1) // 2) for s in (tag, ctr % q.order)]
 
@@ -87,10 +88,8 @@ class ConstantExpander(Expander):
     """Degenerate expander returning a fixed vector; for differential tests."""
 
     def __init__(self, vector: Sequence[int]):
-        if len(vector) <= 1:
-            raise ValueError("expander output length a must exceed 1")
+        super().__init__(len(vector))
         self.vector = list(vector)
-        self.a = len(vector)
 
     def expand(self, seed: Sequence[int]) -> list[int]:
         if not seed:
@@ -114,21 +113,35 @@ class Cca2Key:
         return self.base.k
 
 
+def _scheme_a(scheme: str, n: int, a: int | None) -> int | None:
+    """The expander length of ``scheme``: None for plain, ``a`` (default twice ``n``) for cca2."""
+    if scheme == "plain":
+        if a is not None:
+            raise ValueError(f"expander length a={a} applies only to the cca2 scheme")
+        return None
+    if scheme != "cca2":
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return 2 * n if a is None else a
+
+
+def _sponge(key: SebqKey, a: int | None) -> QuasigroupSponge | None:
+    """The key's sponge of length ``a``, or no expander when ``a`` is None."""
+    return None if a is None else QuasigroupSponge(key.q, a)
+
+
 def cca2_keygen(k: int, seed=None, *, seed_blocks: int = 2, a: int | None = None) -> Cca2Key:
     """Generate a hardened key; ``a`` defaults to twice the seed length."""
     if seed_blocks < 1:
         raise ValueError("seed_blocks must be positive")
-    if a is None:
-        a = 2 * seed_blocks
     base = keygen(k, seed)
-    return Cca2Key(base, QuasigroupSponge(base.q, a))
+    return Cca2Key(base, _sponge(base, _scheme_a("cca2", seed_blocks, a)))
 
 
 def encrypt_cca2(key: Cca2Key, iv: Sequence[int], message: Sequence[int]) -> list[int]:
     """:func:`sebq.cipher.encrypt` with the key's expander stretching every leader."""
-    return encrypt(key.base, iv, message, key.expander.expand)
+    return encrypt(key.base, iv, message, key.expander)
 
 
 def decrypt_cca2(key: Cca2Key, iv: Sequence[int], ciphertext: Sequence[int]) -> list[int]:
     """Invert :func:`encrypt_cca2`; the seed recurrence matches block for block."""
-    return decrypt(key.base, iv, ciphertext, key.expander.expand)
+    return decrypt(key.base, iv, ciphertext, key.expander)

@@ -48,7 +48,6 @@ __all__ = [
     "FRAME_V1",
     "FRAME_V2",
     "EXPANDER_SPONGE",
-    "EXPANDER_EXTERNAL",
     "FrameError",
     "BadMagic",
     "KeyMismatch",
@@ -72,7 +71,6 @@ FRAME_MAGIC = b"SEBQ"
 FRAME_V1 = 0x01
 FRAME_V2 = 0x02
 EXPANDER_SPONGE = 0x00
-EXPANDER_EXTERNAL = 0x01
 
 # some 20 times the default cca2 block (n=8, a=16: 208 lookups); also keeps
 # n and a inside their 16-bit header fields
@@ -136,7 +134,7 @@ def load_key(path) -> SebqKey:
     try:
         with open(path, "r", encoding="ascii") as fp:
             return key_from_text(fp.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise KeyFileError(f"cannot read key file: {exc}") from None
 
 
@@ -147,7 +145,7 @@ def key_fingerprint(key: SebqKey) -> str:
 
 @dataclass(frozen=True)
 class CipherFrame:
-    """Parsed frame header plus payload, independent of any key."""
+    """Parsed frame header plus payload, independent of any key; ``a`` is None for version 1."""
 
     version: int
     k: int
@@ -155,7 +153,7 @@ class CipherFrame:
     bit_length: int
     iv: tuple[int, ...]
     payload: bytes
-    a: int = 0
+    a: int | None = None
     expander_id: int = 0
 
     @property
@@ -222,7 +220,7 @@ def decode_frame(data: bytes) -> CipherFrame:
         if len(data) < _FIXED_V1.size:
             raise FrameError("truncated frame header")
         _, _, k, n, bit_length = _FIXED_V1.unpack_from(data)
-        a = 0
+        a = None
         expander_id = 0
         offset = _FIXED_V1.size
     elif version == FRAME_V2:
@@ -232,7 +230,7 @@ def decode_frame(data: bytes) -> CipherFrame:
         offset = _FIXED_V2.size
     else:
         raise FrameError(f"unsupported frame version {version}")
-    _check_header(k, n, a if version == FRAME_V2 else None, FrameError)
+    _check_header(k, n, a, FrameError)
     iv_len = (n * k + 7) // 8
     blocks = _padded_block_count(bit_length, k)
     payload_len = (blocks * k + 7) // 8
@@ -267,18 +265,11 @@ def seal_bytes(
     else:
         iv = list(iv)
         n = len(iv)
-    if scheme == "plain":
-        a = expand = None
-    elif scheme == "cca2":
-        if a is None:
-            a = 2 * n
-        expand = feistel.QuasigroupSponge(key.q, a).expand
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    a = feistel._scheme_a(scheme, n, a)
     bits = _bytes_to_bits(data)
     # the header first: it rejects an IV or expander length the frame cannot hold
     head = encode_frame(key, iv, len(bits), b"", a=a)
-    ct = _run(key, iv, _pad_blocks(bits, key.k), expand, inverse=False)
+    ct = _run(key, iv, _pad_blocks(bits, key.k), feistel._sponge(key, a), inverse=False)
     return head + pack_bits(ct, key.k)
 
 
@@ -289,11 +280,8 @@ def open_bytes(key: SebqKey, frame_bytes: bytes) -> bytes:
         raise KeyMismatch(f"frame k={frame.k} but key k={key.k}")
     if frame.expander_id != EXPANDER_SPONGE:
         raise FrameError(f"expander 0x{frame.expander_id:02x} requires an external plug-in")
-    expand = None
-    if frame.version == FRAME_V2:
-        expand = feistel.QuasigroupSponge(key.q, frame.a).expand
     ct = _unpack_blocks(frame.payload, frame.k, frame.payload_blocks)
-    bits = unpad(_run(key, frame.iv, ct, expand, inverse=True), frame.k)
+    bits = unpad(_run(key, frame.iv, ct, feistel._sponge(key, frame.a), inverse=True), frame.k)
     if bits.size != frame.bit_length:
         raise PaddingError(
             f"recovered {bits.size} plaintext bits, header says {frame.bit_length}"

@@ -79,18 +79,14 @@ class Scheme:
     def k(self) -> int:
         return self.key.k
 
-    @property
-    def _expand(self):
-        return None if self.expander is None else self.expander.expand
-
     def fresh_iv(self, rng) -> tuple[int, ...]:
         return tuple(rng.randrange(self.order) for _ in range(self.n))
 
     def encrypt(self, iv: Sequence[int], message: Sequence[int]) -> tuple[int, ...]:
-        return tuple(encrypt(self.key, list(iv), list(message), self._expand))
+        return tuple(encrypt(self.key, list(iv), list(message), self.expander))
 
     def decrypt(self, iv: Sequence[int], ciphertext: Sequence[int]) -> tuple[int, ...]:
-        return tuple(decrypt(self.key, list(iv), list(ciphertext), self._expand))
+        return tuple(decrypt(self.key, list(iv), list(ciphertext), self.expander))
 
 
 # the name existing callers use for the scheme without an expander
@@ -101,15 +97,11 @@ def make_scheme_factory(
     scheme: str, k: int, n: int = 1, *, a: int | None = None
 ) -> Callable[[object], object]:
     """Factory of per-trial scheme instances with fresh hidden keys."""
-    if scheme not in ("plain", "cca2"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    eff_a = 2 * n if a is None else a
+    a = feistel._scheme_a(scheme, n, a)
 
     def build(rng):
         key = keygen(k, rng.randrange(2**63))
-        if scheme == "plain":
-            return Scheme(key, n)
-        return Scheme(key, n, feistel.QuasigroupSponge(key.q, eff_a))
+        return Scheme(key, n, feistel._sponge(key, a))
 
     return build
 

@@ -115,20 +115,18 @@ def fold_apply(q: Quasigroup, beta: Sequence[int], a: int) -> int:
 
     An empty leader is the identity map.
     """
+    if beta:
+        return e_transform(q, beta, (a,))[0][0]
     _check_symbols(q.order, (a,), "input")
-    _check_symbols(q.order, beta, "leader")
-    if not beta:
-        return a
-    return _encrypt_chain(q.mul_rows, beta, (a,))[0][0]
+    return a
 
 
 def fold_reverse(q: Quasigroup, beta: Sequence[int], c: int) -> int:
     """Inverse of :func:`fold_apply`: ``b_1 \\ (b_2 \\ (... (b_n \\ c)))``."""
+    if beta:
+        return d_transform(q, beta, (c,))[0][0]
     _check_symbols(q.order, (c,), "input")
-    _check_symbols(q.order, beta, "leader")
-    if not beta:
-        return c
-    return _decrypt_chain(q.ldiv_rows, beta, (c,))[0][0]
+    return c
 
 
 def xor_checksum(v: Sequence[int]) -> list[int]:
@@ -171,8 +169,7 @@ def leader_update_enc(q: Quasigroup, a: int, delta: Sequence[int]) -> list[int]:
     (``d_i = b_i * d_{i-1}`` with ``d_0 = a``), then applies
     :func:`xor_checksum` to the last position.
     """
-    _check_args(q, delta, (a,))
-    return _encrypt_chain(q.mul_rows, delta, (a,))[1]
+    return e_transform(q, delta, (a,))[1]
 
 
 def leader_update_dec(q: Quasigroup, c: int, delta: Sequence[int]) -> list[int]:
@@ -183,8 +180,7 @@ def leader_update_dec(q: Quasigroup, c: int, delta: Sequence[int]) -> list[int]:
     leader is ``(u_1, ..., u_{n-1}, c)`` followed by :func:`xor_checksum`.
     Paired encrypt/decrypt runs therefore carry identical leaders.
     """
-    _check_args(q, delta, (c,))
-    return _decrypt_chain(q.ldiv_rows, delta, (c,))[1]
+    return d_transform(q, delta, (c,))[1]
 
 
 def e_transform(

@@ -352,3 +352,51 @@ class TestReportPaths:
         assert code == 2
         assert len(err.splitlines()) == 1
         assert err.startswith("error:") and str(path) in err
+
+
+class TestSchemeAndKeyInput:
+    @pytest.fixture
+    def msg_path(self, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"data")
+        return path
+
+    def test_non_ascii_key_file_exits_2(self, capsys, tmp_path, msg_path):
+        key_path = tmp_path / "key.lsq"
+        key_path.write_bytes(b"\xffSEBQ-LSQ v1\n2\n0 1\n1 0\n")
+        code, _, err = run(
+            capsys, "encrypt", "--key", str(key_path), "--in", str(msg_path),
+            "--out", str(tmp_path / "m.sebq"),
+        )
+        assert code == 2
+        assert err.startswith("error: bad key file:")
+        assert len(err.splitlines()) == 1
+
+    def test_encrypt_plain_with_a_exits_1(self, capsys, tmp_path, msg_path):
+        key_path = tmp_path / "key.lsq"
+        run(capsys, "keygen", "--k", "2", "--seed", "3", "--out", str(key_path))
+        code, _, err = run(
+            capsys, "encrypt", "--key", str(key_path), "--in", str(msg_path),
+            "--out", str(tmp_path / "m.sebq"), "--scheme", "plain", "--a", "5",
+        )
+        assert code == 1
+        assert err.startswith("error:") and "a=5" in err
+        assert not (tmp_path / "m.sebq").exists()
+
+    def test_cca_recover_plain_with_a_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "attack", "cca-recover", "--k", "2", "--scheme", "plain", "--a", "5",
+            "--trials", "2", "--seed", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "a=5" in err
+
+    def test_key_avalanche_without_swaps_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "analyze", "avalanche", "--target", "key", "--positions", "0",
+            "--trials", "5", "--k", "2", "--n", "4", "--bits", "40",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: key avalanche")
