@@ -126,6 +126,18 @@ def decrypt_block(key: SebqKey, c: int, state: CipherState) -> tuple[int, Cipher
     return m, CipherState(leader)
 
 
+def lookups_per_block(n: int, a: int | None = None) -> int:
+    """Table lookups one block costs under an n-block IV and, for cca2, an a-block leader.
+
+    ``n`` for the plain scheme (``a`` None).  For cca2 the sponge absorbs
+    the n-block seed (``n**2``) and squeezes ``ceil(a/2)`` pairs
+    (``2n*ceil(a/2)``), then the block folds through the a-block leader.
+    """
+    if a is None:
+        return n
+    return n * n + 2 * n * ((a + 1) // 2) + a
+
+
 def _listed(v):
     return v.tolist() if isinstance(v, np.ndarray) else v
 
@@ -137,10 +149,15 @@ def _run(key: SebqKey, iv, blocks, expander: Expander | None, inverse: bool):
     IV.  With one, each block runs under its own leader ``expander.expand(seed)``
     and the advanced leader is XOR-folded back to seed width for the next
     block; the first seed is the IV.  The branch stays outside the per-block
-    loop, so the plain path pays nothing for the expander.  A plain run of at
-    least ``_C_MIN_LOOKUPS`` lookups goes to the compiled loop when one is
-    loaded and comes back as a ``uint8`` array; the Python loops return a
-    list.
+    loop, so the plain path pays nothing for the expander.
+
+    A run of at least ``_C_MIN_LOOKUPS`` lookups (:func:`lookups_per_block`
+    times the block count) goes to the compiled kernel when one is loaded
+    and comes back as a ``uint8`` array: a plain run, or a cca2 run
+    whose expander is exactly a :class:`sebq.feistel.QuasigroupSponge` over
+    the key's own quasigroup.  Every other expander, a subclass included,
+    runs its own ``expand`` on the Python per-block loop, the reference,
+    which returns a list.
     """
     if not len(iv):
         raise ValueError("iv must hold at least one block")
@@ -148,6 +165,13 @@ def _run(key: SebqKey, iv, blocks, expander: Expander | None, inverse: bool):
     _check_symbols(key.order, blocks, "ciphertext" if inverse else "message")
     if expander is None and len(iv) * len(blocks) >= _C_MIN_LOOKUPS and _kernel() is not None:
         return _kernel().run(key._tables[inverse], key.k, iv, blocks, inverse)[0]
+    if expander is not None and lookups_per_block(len(iv), expander.a) * len(blocks) >= _C_MIN_LOOKUPS:
+        from sebq.feistel import QuasigroupSponge  # feistel imports this module
+
+        # the exact type: a subclass may override expand, and then runs its own
+        if type(expander) is QuasigroupSponge and expander.q is key.q and _kernel() is not None:
+            return _kernel().run_cca2(key._tables, key.k, iv, blocks, expander._squeeze,
+                                      expander.a, inverse)
     chain, rows = (_decrypt_chain, key.q.ldiv_rows) if inverse else (_encrypt_chain, key.q.mul_rows)
     iv, blocks = _listed(iv), _listed(blocks)
     if expander is None:

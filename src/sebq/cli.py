@@ -119,10 +119,12 @@ def cmd_analyze_stats(args) -> int:
 def cmd_analyze_avalanche(args) -> int:
     from sebq import analysis
 
-    if args.trials < 1:
-        return _fail(EXIT_USAGE, "--trials must be positive")
+    # with no positions the experiment itself refuses the run and names the target
+    if args.trials < 1 or (args.positions > 0 and args.trials % args.positions):
+        return _fail(EXIT_USAGE, f"--trials {args.trials} must be a positive multiple of "
+                     f"--positions {args.positions}")
     positions = tuple(range(args.positions))
-    experiments = max(1, args.trials // max(1, len(positions)))
+    experiments = args.trials // max(1, args.positions)
     report = analysis.avalanche_experiment(
         args.target,
         k=args.k,
@@ -287,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--bits", type=int, default=4000)
-    p.add_argument("--trials", type=int, default=100, help="total flips")
+    p.add_argument("--trials", type=int, default=100,
+                   help="total flips, a positive multiple of --positions")
     p.add_argument("--positions", type=int, default=10, help="flip positions per experiment")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="CSV path")

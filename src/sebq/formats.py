@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from sebq.cipher import (
     _pad_blocks,
     _run,
     _unpack_blocks,
+    lookups_per_block,
     pack_bits,
     unpack_bits,
     unpad,
@@ -114,9 +116,13 @@ def key_from_text(text: str) -> SebqKey:
     rows = lines[2:]
     if len(rows) != order:
         raise KeyFileError(f"expected {order} table rows, found {len(rows)}")
+    # a token fromstring cannot read to its end (x, 1.0, 1_0, 0,1) raises
+    # ValueError, or on numpy 1.x warns, which the filter makes an error
     try:
-        table = [[int(v) for v in row.split()] for row in rows]
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            table = [np.fromstring(row, dtype=np.int64, sep=" ") for row in rows]
+    except (ValueError, DeprecationWarning):
         raise KeyFileError("non-integer table entry") from None
     # LatinSquare rejects ragged rows, out-of-range symbols and repeats
     try:
@@ -164,18 +170,6 @@ class CipherFrame:
 def _padded_block_count(bit_length: int, k: int) -> int:
     # 10* padding always adds at least one bit
     return (bit_length + 1 + k - 1) // k
-
-
-def lookups_per_block(n: int, a: int | None = None) -> int:
-    """Table lookups one payload block costs under a header with ``n`` and ``a``.
-
-    ``n`` for a version-1 header (``a`` None).  For version 2 the sponge
-    absorbs the n-block seed (``n**2``) and squeezes ``ceil(a/2)`` pairs
-    (``2n*ceil(a/2)``), then the block folds through the a-block leader.
-    """
-    if a is None:
-        return n
-    return n * n + 2 * n * ((a + 1) // 2) + a
 
 
 def _check_header(k: int, n: int, a: int | None, error: type[ValueError]) -> None:

@@ -9,9 +9,11 @@ The two loops check nothing: each public entry checks its input once.
 Block symbols are ints in ``0..order-1``; leaders and messages are
 sequences or 1-D arrays of such ints.
 
-The same two loops compiled from C (:mod:`sebq._ckernel`) carry long plain
-runs when a C compiler is at hand; :data:`BACKEND` names what loaded,
-``"c"`` or ``"python"``.  The Python loops stay the reference.
+The same step compiled from C (:mod:`sebq._ckernel`) carries long runs when
+a C compiler is at hand: plain runs, and cca2 runs whose expander is the
+key's own :class:`sebq.feistel.QuasigroupSponge`, sponge included.
+:data:`BACKEND` names what loaded, ``"c"`` or ``"python"``.  The Python
+loops stay the reference.
 """
 
 from __future__ import annotations

@@ -6,12 +6,15 @@ The compiled side is skipped only where no C compiler could build it
 
 import os
 import random
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
 
 from sebq import _ckernel, transforms
-from sebq.cipher import _C_MIN_LOOKUPS, decrypt, encrypt, keygen, pack_bits, pad
+from sebq.cipher import _C_MIN_LOOKUPS, decrypt, encrypt, keygen, lookups_per_block, pack_bits, pad
+from sebq.feistel import ConstantExpander, QuasigroupSponge
 from sebq.formats import decode_frame, open_bytes, seal_bytes
 from sebq.transforms import _decrypt_chain, _encrypt_chain
 
@@ -79,3 +82,119 @@ def test_loader_builds_into_cache(tmp_path):
     assert len(built) == 1 and built[0].startswith("chain-") and built[0].endswith(".so")
     # a second load reuses the file, so it needs no compiler
     assert _ckernel.load(_cc=str(tmp_path / "no-such-cc"), _cache=str(tmp_path)) is not None
+
+
+class PythonLoopSponge(QuasigroupSponge):
+    """The key's sponge on the Python per-block loop: a subclass never takes the compiled path."""
+
+
+class CountingSponge(QuasigroupSponge):
+    """A subclass that overrides ``expand``, counting its calls."""
+
+    def __init__(self, q, a):
+        super().__init__(q, a)
+        self.calls = 0
+
+    def expand(self, seed):
+        self.calls += 1
+        return super().expand(seed)
+
+
+@compiled
+def test_cca2_compiled_matches_python_loop(keys):
+    kernel = transforms._kernel()
+    rng = random.Random(6160)
+    crossed = set()
+    for _ in range(2000):
+        key = keys[rng.choice((1, 2, 4, 8))]
+        a = rng.randint(2, 40)
+        iv = [rng.randrange(key.order) for _ in range(rng.randint(1, 9))]
+        blocks = [rng.randrange(key.order) for _ in range(rng.randint(0, 60))]
+        sponge, reference = QuasigroupSponge(key.q, a), PythonLoopSponge(key.q, a)
+        crossed.add(lookups_per_block(len(iv), a) * len(blocks) >= _C_MIN_LOOKUPS)
+        want = encrypt(key, iv, blocks, reference)
+        # the kernel itself, on either side of the cut, and the public entry points
+        assert kernel.run_cca2(key._tables, key.k, iv, blocks, sponge._squeeze, a).tolist() == want
+        assert encrypt(key, iv, blocks, sponge) == want
+        got = kernel.run_cca2(key._tables, key.k, iv, want, sponge._squeeze, a, inverse=True)
+        assert got.tolist() == blocks == decrypt(key, iv, want, reference)
+        assert decrypt(key, iv, want, sponge) == blocks
+    assert crossed == {False, True}
+
+
+@compiled
+@pytest.mark.parametrize("iv, squeeze, a", [([], [1, 0], 2), ([1], [1, 0], 3), ([1], [1, 0], 0)])
+def test_cca2_kernel_refuses_unsized_scratch(keys, iv, squeeze, a):
+    with pytest.raises(ValueError):
+        transforms._kernel().run_cca2(keys[2]._tables, 2, iv, [0, 1], squeeze, a)
+
+
+@compiled
+def test_cca2_long_run_skips_python_expand(keys, monkeypatch):
+    key = keys[4]
+    iv, blocks = [1, 2, 3], list(range(16)) * 4
+    want = encrypt(key, iv, blocks, PythonLoopSponge(key.q, 6))
+    calls = []
+    real = QuasigroupSponge.expand
+    monkeypatch.setattr(QuasigroupSponge, "expand", lambda self, seed: calls.append(1) or real(self, seed))
+    assert encrypt(key, iv, blocks, QuasigroupSponge(key.q, 6)) == want
+    assert calls == []
+    # under the cut the sponge runs in Python, once per block
+    assert encrypt(key, iv, blocks[:1], QuasigroupSponge(key.q, 6)) == want[:1]
+    assert len(calls) == 1
+
+
+def test_cca2_other_expanders_take_python_path(keys):
+    key, other = keys[4], keygen(4, 99)
+    rng = random.Random(17)
+    iv = [rng.randrange(16) for _ in range(8)]
+    blocks = [rng.randrange(16) for _ in range(50)]
+
+    counting = CountingSponge(key.q, 16)
+    want = encrypt(key, iv, blocks, PythonLoopSponge(key.q, 16))
+    assert encrypt(key, iv, blocks, counting) == want
+    assert decrypt(key, iv, want, counting) == blocks
+    assert counting.calls == 2 * len(blocks)
+
+    class CountingConstant(ConstantExpander):
+        calls = 0
+
+        def expand(self, seed):
+            CountingConstant.calls += 1
+            return super().expand(seed)
+
+    constant = CountingConstant([rng.randrange(16) for _ in range(16)])
+    want = encrypt(key, iv, blocks, ConstantExpander(constant.vector))
+    assert encrypt(key, iv, blocks, constant) == want
+    assert decrypt(key, iv, want, constant) == blocks
+    assert CountingConstant.calls == 2 * len(blocks)
+
+    # a sponge over another quasigroup, even an equal copy, is not the key's own
+    for q in (other.q, type(key.q).from_square(key.q.mul)):
+        foreign = QuasigroupSponge(q, 16)
+        foreign_calls = []
+        real = foreign.expand
+        foreign.expand = lambda seed: foreign_calls.append(1) or real(seed)
+        want = encrypt(key, iv, blocks, PythonLoopSponge(q, 16))
+        assert encrypt(key, iv, blocks, foreign) == want
+        assert decrypt(key, iv, want, foreign) == blocks
+        assert len(foreign_calls) == 2 * len(blocks)
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_cca2_seal_open_64k_matches_python_loop(keys, k):
+    key = keys[k]
+    data = random.Random(100 + k).randbytes(64 * 1024)
+    iv = list(range(1, 9))
+    frame = seal_bytes(key, data, iv=iv, scheme="cca2")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    want = encrypt(key, iv, pad(bits, k), PythonLoopSponge(key.q, 16))
+    assert decode_frame(frame).payload == pack_bits(want, k)
+    assert open_bytes(key, frame) == data
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_source_compiles_without_warnings(tmp_path):
+    cmd = ["cc", *_ckernel.FLAGS, "-Wall", "-Wextra", "-Werror", "-x", "c", "-o", str(tmp_path / "k.so"), "-"]
+    built = subprocess.run(cmd, input=_ckernel.SOURCE.encode(), capture_output=True, timeout=120)
+    assert built.returncode == 0, built.stderr.decode()

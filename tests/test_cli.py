@@ -400,3 +400,23 @@ class TestSchemeAndKeyInput:
         assert code == 1
         assert out == ""
         assert err.startswith("error: key avalanche")
+
+
+class TestAvalancheTrials:
+    @pytest.mark.parametrize("trials, positions", [("5", "10"), ("25", "10"), ("0", "10")])
+    def test_trials_not_a_multiple_of_positions_exits_1(self, capsys, trials, positions):
+        code, out, err = run(
+            capsys, "analyze", "avalanche", "--target", "plaintext", "--trials", trials,
+            "--positions", positions, "--k", "2", "--n", "4", "--bits", "40",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--trials" in err and "--positions" in err
+
+    def test_reports_exactly_trials_flips(self, capsys):
+        code, out, _ = run(
+            capsys, "analyze", "avalanche", "--target", "plaintext", "--trials", "20",
+            "--k", "2", "--n", "4", "--bits", "40", "--seed", "1",
+        )
+        assert code == 0
+        assert "over 20 flips" in out

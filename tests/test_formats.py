@@ -99,6 +99,27 @@ class TestOneLatinScanPerKey:
         assert len(scans) == 1
 
 
+class TestKeyFileParse:
+    @pytest.mark.parametrize("row", ["x 1", "0 1.0", "0 1_0", "0,1"])
+    def test_rejects_non_integer_token(self, row):
+        with pytest.raises(KeyFileError, match="non-integer table entry"):
+            key_from_text(f"SEBQ-LSQ v1\n2\n{row}\n1 0\n")
+
+    @pytest.mark.parametrize("row", ["0 1 0", "0 12345678901234567890"])
+    def test_rejects_ragged_row_and_huge_token(self, row):
+        with pytest.raises(KeyFileError):
+            key_from_text(f"SEBQ-LSQ v1\n2\n{row}\n1 0\n")
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_round_trip_every_width(self, k, tmp_path):
+        key = keygen(k, 300 + k)
+        path = tmp_path / "key.lsq"
+        save_key(path, key)
+        loaded = load_key(path)
+        assert loaded.q.mul == key.q.mul
+        assert key_fingerprint(loaded) == key_fingerprint(key)
+
+
 class TestFrameCodec:
     def test_v1_round_trip(self):
         key = keygen(4, 3)
