@@ -1,4 +1,4 @@
-"""The chained step compiled from C, loaded with :mod:`ctypes`.
+"""The chained step and the key walk compiled from C, loaded with :mod:`ctypes`.
 
 The chained step below is written once per direction and run by two pairs
 of entry points.  ``sebq_encrypt``/``sebq_decrypt`` are
@@ -7,11 +7,17 @@ of entry points.  ``sebq_encrypt``/``sebq_decrypt`` are
 ``sebq_cca2_encrypt``/``sebq_cca2_decrypt`` are the per-block cca2 loop
 of :func:`sebq.cipher._run` with :class:`sebq.feistel.QuasigroupSponge` as
 its expander: sponge, fold and seed fold-back for every block of a message
-in one call.  The source is compiled once with ``cc`` into
+in one call.  ``sebq_walk`` is the Latin-square random walk of
+:func:`sebq.latin.random_latin_square` over ``int64`` arrays and the
+walk's draw buffers.  It stops when a defect move needs 3 bits and fewer
+remain; Python then draws the next bits buffer from the same generator,
+as the Python walk does, and resumes it, so a seed gives the same key on
+either side.  The source is compiled once with ``cc`` into
 ``$XDG_CACHE_HOME/sebq/`` (default ``~/.cache/sebq/``), under a name made
 from the SHA-256 of the source, the flags and the platform.  Without a
 compiler or a writable cache :func:`load` returns ``None`` and the Python
-loops, which stay the reference, run instead.
+loops, which stay the reference, run instead.  :func:`kernel` is the one
+loaded copy the package shares.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import os
 import platform
 import subprocess
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -120,6 +127,95 @@ void sebq_cca2_decrypt(const uint8_t *mul, const uint8_t *tab, int k,
 {
     cca2(mul, tab, k, seed, w, sq, nsq, st, lead, a, in, out, l, 1);
 }
+
+/* the random walk of sebq.latin.random_latin_square on row-major n x n
+   arrays: L, col_of[r][s] (column of s in row r) and row_of[c][s] (row of
+   s in column c).  st is (done, ci, ai, bi, r, c, extra, neg, cA, cB, rA,
+   rB): proper landings so far, the indices into cells, adds and bits, and
+   the improper cell, with r = -1 while the square is proper.  Returns 0
+   when the walk is over, 1 when a defect move needs 3 bits and fewer
+   remain (the caller draws fresh bits, sets bi = 0 and calls again), and
+   -1 when cells or adds would run dry or an index is negative. */
+int sebq_walk(int64_t *L, int64_t *col_of, int64_t *row_of, int64_t n, int64_t steps,
+              const int64_t *cells, int64_t ncells, const int64_t *adds, int64_t nadds,
+              const int64_t *bits, int64_t nbits, int64_t *st)
+{
+    int64_t done = st[0], ci = st[1], ai = st[2], bi = st[3], *imp = st + 4;
+    int rc = 0;
+    if (ci < 0 || ai < 0 || bi < 0)
+        return -1;
+    while (done < steps || imp[0] >= 0) {
+        int64_t r, c, add, rem, r2, c2;
+        if (imp[0] < 0) {
+            if (ci > ncells - 2 || ai >= nadds) {
+                rc = -1;
+                break;
+            }
+            r = cells[ci];
+            c = cells[ci + 1];
+            ci += 2;
+            add = adds[ai++];
+            rem = L[r * n + c];
+            if (add >= rem)
+                add++;
+            c2 = col_of[r * n + add];
+            r2 = row_of[c * n + add];
+            L[r * n + c] = add;
+            col_of[r * n + add] = c;
+            row_of[c * n + add] = r;
+        } else {
+            if (bi > nbits - 3) {
+                rc = 1;
+                break;
+            }
+            r = imp[0];
+            c = imp[1];
+            add = imp[3];
+            int64_t stored = L[r * n + c], other = bits[bi] ? stored : imp[2];
+            rem = bits[bi] ? imp[2] : stored;
+            /* the unchosen duplicate of add is the one that stays in place */
+            int64_t c_keep = bits[bi + 1] ? imp[5] : imp[4];
+            int64_t r_keep = bits[bi + 2] ? imp[7] : imp[6];
+            c2 = bits[bi + 1] ? imp[4] : imp[5];
+            r2 = bits[bi + 2] ? imp[6] : imp[7];
+            bi += 3;
+            L[r * n + c] = other;
+            col_of[r * n + other] = c;
+            row_of[c * n + other] = r;
+            col_of[r * n + add] = c_keep;
+            row_of[c * n + add] = r_keep;
+        }
+        /* the second copy of rem, for defect tracking, before it is overwritten */
+        int64_t old_col = col_of[r2 * n + rem], old_row = row_of[c2 * n + rem];
+        L[r * n + c2] = rem;
+        col_of[r * n + rem] = c2;
+        row_of[c2 * n + rem] = r;
+        L[r2 * n + c] = rem;
+        col_of[r2 * n + rem] = c;
+        row_of[c * n + rem] = r2;
+        if (L[r2 * n + c2] == rem) {
+            L[r2 * n + c2] = add;
+            col_of[r2 * n + add] = c2;
+            row_of[c2 * n + add] = r2;
+            imp[0] = -1;
+            done++;
+        } else {
+            imp[0] = r2;
+            imp[1] = c2;
+            imp[2] = add;
+            imp[3] = rem;
+            imp[4] = c;
+            imp[5] = old_col;
+            imp[6] = r;
+            imp[7] = old_row;
+        }
+    }
+    st[0] = done;
+    st[1] = ci;
+    st[2] = ai;
+    st[3] = bi;
+    return rc;
+}
 """
 
 FLAGS = ("-O2", "-shared", "-fPIC")
@@ -130,6 +226,10 @@ _CCA2_ARGTYPES = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int,
                   ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t,
                   ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t,
                   ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t]
+_WALK_ARGTYPES = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                  ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                  ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+WALK_STATE = 12  # done, the cells/adds/bits indices, the 8-field improper cell
 
 
 def _check_table(table: np.ndarray, k: int) -> None:
@@ -139,7 +239,7 @@ def _check_table(table: np.ndarray, k: int) -> None:
 
 
 class Kernel:
-    """The compiled loops of one loaded library: plain and cca2, each way."""
+    """The compiled loops of one loaded library: plain and cca2, each way, and the key walk."""
 
     def __init__(self, lib: ctypes.CDLL):
         self._loops = (lib.sebq_encrypt, lib.sebq_decrypt)
@@ -148,6 +248,9 @@ class Kernel:
             for fn in fns:
                 fn.argtypes = argtypes
                 fn.restype = None
+        self._walk = lib.sebq_walk
+        self._walk.argtypes = _WALK_ARGTYPES
+        self._walk.restype = ctypes.c_int
 
     def run(self, table: np.ndarray, k: int, state, blocks, inverse: bool = False):
         """``(blocks_out, final_state)`` as ``uint8`` arrays, like the Python loops.
@@ -195,6 +298,34 @@ class Kernel:
                             blocks.ctypes.data, out.ctypes.data, blocks.size)
         return out
 
+    def walk(self, L, col_of, row_of, steps: int, cells, adds, bits, state) -> bool:
+        """Run the Latin-square walk in place; True when it stopped for fresh bits.
+
+        ``L``, ``col_of`` and ``row_of`` are the ``n x n`` arrays of
+        :func:`sebq.latin.random_latin_square`, ``cells``, ``adds`` and
+        ``bits`` its draw buffers, and ``state`` the walk state
+        ``(done, ci, ai, bi, r, c, extra, neg, cA, cB, rA, rB)`` with
+        ``r = -1`` while the square is proper; all are contiguous ``int64``
+        arrays, and the grids and ``state`` are updated in place.  On True
+        fewer than 3 bits are left for the next defect move: the caller
+        hands in a fresh ``bits`` with ``state[3] = 0`` and calls again.
+        Every entry of the grids and buffers must be below ``n``: the
+        caller draws them so.
+        """
+        n = L.shape[0]
+        if any(g.dtype != np.int64 or g.shape != (n, n) or not g.flags.c_contiguous
+               for g in (L, col_of, row_of)):
+            raise ValueError(f"walk grids must be contiguous int64 arrays of shape ({n}, {n})")
+        if any(b.dtype != np.int64 or b.ndim != 1 or not b.flags.c_contiguous
+               for b in (cells, adds, bits, state)) or state.size != WALK_STATE:
+            raise ValueError(f"walk buffers must be contiguous 1-D int64 arrays, state of size {WALK_STATE}")
+        rc = self._walk(L.ctypes.data, col_of.ctypes.data, row_of.ctypes.data, n, steps,
+                        cells.ctypes.data, cells.size, adds.ctypes.data, adds.size,
+                        bits.ctypes.data, bits.size, state.ctypes.data)
+        if rc < 0:
+            raise RuntimeError("internal error: the Latin-square walk would read outside its cells or adds")
+        return rc == 1
+
 
 def _cache_dir() -> str:
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
@@ -224,3 +355,9 @@ def load(*, _cc: str = "cc", _cache: str | None = None) -> Kernel | None:
         return Kernel(ctypes.CDLL(path))
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
+
+
+@cache
+def kernel() -> Kernel | None:
+    """The compiled loops, loaded (and built, the first time ever) on first use."""
+    return load()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -47,9 +48,9 @@ def _fail(code: int, message: str) -> int:
 
 def cmd_keygen(args) -> int:
     key = keygen(args.k, args.seed)
-    formats.save_key(args.out, key)
+    fingerprint = formats.save_key(args.out, key)
     print(f"order {key.order}")
-    print(f"fingerprint {formats.key_fingerprint(key)}")
+    print(f"fingerprint {fingerprint}")
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -238,7 +239,9 @@ def cmd_attack_cca_recover(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``sebq`` parser, built once per process: each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="sebq",
         description="Quasigroup block cipher toolkit: keygen, file encryption, "

@@ -99,9 +99,9 @@ class KeyFileError(ValueError):
 
 
 def key_to_text(key: SebqKey) -> str:
+    names = [str(v) for v in range(key.order)]
     lines = [KEY_HEADER, str(key.order)]
-    for row in key.q.mul.to_lists():
-        lines.append(" ".join(str(v) for v in row))
+    lines += [" ".join(map(names.__getitem__, row)) for row in key.q.mul.to_lists()]
     return "\n".join(lines) + "\n"
 
 
@@ -131,9 +131,12 @@ def key_from_text(text: str) -> SebqKey:
         raise KeyFileError(str(exc)) from None
 
 
-def save_key(path, key: SebqKey) -> None:
+def save_key(path, key: SebqKey) -> str:
+    """Write ``key`` to ``path`` as a key file; return its :func:`key_fingerprint`."""
+    text = key_to_text(key)
     with open(path, "w", encoding="ascii") as fp:
-        fp.write(key_to_text(key))
+        fp.write(text)
+    return _text_fingerprint(text)
 
 
 def load_key(path) -> SebqKey:
@@ -146,7 +149,11 @@ def load_key(path) -> SebqKey:
 
 def key_fingerprint(key: SebqKey) -> str:
     """SHA-256 of the canonical key file text, hex-truncated to 16 chars."""
-    return hashlib.sha256(key_to_text(key).encode("ascii")).hexdigest()[:16]
+    return _text_fingerprint(key_to_text(key))
+
+
+def _text_fingerprint(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

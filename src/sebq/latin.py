@@ -15,6 +15,9 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from sebq._ckernel import WALK_STATE
+from sebq._ckernel import kernel as _kernel
+
 __all__ = [
     "StructureError",
     "LatinViolation",
@@ -257,12 +260,23 @@ def xor_latin_square(n: int) -> LatinSquare:
     return LatinSquare(idx[:, None] ^ idx[None, :])
 
 
+_BUF = 8192  # draws per buffer of the walk
+
+
 def random_latin_square(order: int, seed: SeedLike = None) -> LatinSquare:
     """Sample a random Latin square of the given order.
 
     Runs a random walk over proper and improper squares (single-cell
     incidence defects), starting from a random isotopy of the cyclic
     square.  Deterministic for a fixed seed.
+
+    The walk runs in C (``sebq_walk`` in :mod:`sebq._ckernel`) when the
+    compiled kernel loads, else in :func:`_walk_python`, the reference.
+    Both read the same three buffers of 8192 draws (cells, adds, bits)
+    from one PCG64 generator.  Only the bits buffer can run dry: the C walk
+    then returns, Python draws the next 8192 bits from the generator as the
+    Python walk does, and the C walk resumes.  So a seed gives the same
+    square on either side.
 
     Parameters
     ----------
@@ -288,28 +302,50 @@ def random_latin_square(order: int, seed: SeedLike = None) -> LatinSquare:
     rng.shuffle(rows)
     rng.shuffle(cols)
     rng.shuffle(syms)
-    L = [[syms[(rows[i] + cols[j]) % n] for j in range(n)] for i in range(n)]
-
-    col_of = [[0] * n for _ in range(n)]  # col_of[r][s] = column of s in row r
-    row_of = [[0] * n for _ in range(n)]  # row_of[c][s] = row of s in column c
-    for i in range(n):
-        Li = L[i]
-        for j in range(n):
-            s = Li[j]
-            col_of[i][s] = j
-            row_of[j][s] = i
+    idx = np.arange(n)
+    L = np.array(syms, dtype=np.int64)[np.add.outer(np.array(rows), np.array(cols)) % n]
+    col_of = np.empty_like(L)  # col_of[r][s] = column of s in row r
+    col_of[idx[:, None], L] = idx
+    row_of = np.empty_like(L)  # row_of[c][s] = row of s in column c
+    row_of[idx, L] = idx[:, None]
 
     # Walk length counts proper landings only; defect excursions in between
     # are free moves.  The n=4 budget is validated against the uniformity
     # oracle; larger orders are capped for speed (isotopy randomization of
-    # the start already decorrelates them).
+    # the start already decorrelates them).  Each proper move reads 2 cells
+    # and 1 add, and there are exactly `steps` of them, so those two
+    # buffers never run dry.
     steps = max(256, min(n * n * n, 1536))
 
     gen = np.random.Generator(np.random.PCG64(rng.getrandbits(128)))
-    BUF = 8192
-    cells = gen.integers(0, n, size=BUF).tolist()
-    adds = gen.integers(0, n - 1, size=BUF).tolist() if n > 1 else []
-    bits = gen.integers(0, 2, size=BUF).tolist()
+    cells = gen.integers(0, n, size=_BUF)
+    adds = gen.integers(0, n - 1, size=_BUF)
+    bits = gen.integers(0, 2, size=_BUF)
+
+    kernel = _kernel()
+    if kernel is None:
+        return LatinSquare(_walk_python(L, col_of, row_of, steps, gen, cells, adds, bits))
+    state = np.zeros(WALK_STATE, dtype=np.int64)
+    state[4] = -1  # no improper cell
+    while kernel.walk(L, col_of, row_of, steps, cells, adds, bits, state):
+        bits = gen.integers(0, 2, size=_BUF)
+        state[3] = 0
+    return LatinSquare(L)
+
+
+def _walk_python(L, col_of, row_of, steps, gen, cells, adds, bits) -> np.ndarray:
+    """The walk of :func:`random_latin_square` in Python: the reference.
+
+    Takes the start square, its inverse maps and the three draw buffers as
+    ``int64`` arrays and returns the walked square; refills ``bits`` from
+    ``gen`` when a defect move finds fewer than 3 left.
+    """
+    L = L.tolist()
+    col_of = col_of.tolist()
+    row_of = row_of.tolist()
+    cells = cells.tolist()
+    adds = adds.tolist()
+    bits = bits.tolist()
     ci = ai = bi = 0
 
     # improper = (r, c, extra, neg, cA, cB, rA, rB): cell (r, c) holds the
@@ -319,15 +355,9 @@ def random_latin_square(order: int, seed: SeedLike = None) -> LatinSquare:
     done = 0
     while done < steps or improper is not None:
         if improper is None:
-            if ci >= BUF - 1:
-                cells = gen.integers(0, n, size=BUF).tolist()
-                ci = 0
             r = cells[ci]
             c = cells[ci + 1]
             ci += 2
-            if ai == BUF:
-                adds = gen.integers(0, n - 1, size=BUF).tolist()
-                ai = 0
             add = adds[ai]
             ai += 1
             rem = L[r][c]
@@ -340,8 +370,8 @@ def random_latin_square(order: int, seed: SeedLike = None) -> LatinSquare:
             row_of[c][add] = r
         else:
             r, c, extra, add, cA, cB, rA, rB = improper
-            if bi >= BUF - 2:
-                bits = gen.integers(0, 2, size=BUF).tolist()
+            if bi >= len(bits) - 2:
+                bits = gen.integers(0, 2, size=_BUF).tolist()
                 bi = 0
             stored = L[r][c]
             if bits[bi]:
@@ -381,7 +411,7 @@ def random_latin_square(order: int, seed: SeedLike = None) -> LatinSquare:
         else:
             improper = (r2, c2, add, rem, c, old_col, r, old_row)
 
-    return LatinSquare(np.array(L, dtype=np.int64))
+    return np.array(L, dtype=np.int64)
 
 
 def intercalate_swap(square: LatinSquare, seed: SeedLike = None) -> LatinSquare:

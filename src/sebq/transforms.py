@@ -11,14 +11,15 @@ sequences or 1-D arrays of such ints.
 
 The same step compiled from C (:mod:`sebq._ckernel`) carries long runs when
 a C compiler is at hand: plain runs, and cca2 runs whose expander is the
-key's own :class:`sebq.feistel.QuasigroupSponge`, sponge included.
-:data:`BACKEND` names what loaded, ``"c"`` or ``"python"``.  The Python
-loops stay the reference.
+key's own :class:`sebq.feistel.QuasigroupSponge`, sponge included.  The
+same library runs the key walk of :func:`sebq.latin.random_latin_square`,
+which stops for Python to refill its bits buffer and resumes.
+:data:`BACKEND` names what loaded, ``"c"`` or ``"python"``, for both.  The
+Python loops stay the reference.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -39,10 +40,7 @@ __all__ = [
 ]
 
 
-@cache
-def _kernel() -> _ckernel.Kernel | None:
-    """The compiled loops, loaded (and built, the first time ever) on first use."""
-    return _ckernel.load()
+_kernel = _ckernel.kernel  # the package's one loaded copy, shared with sebq.latin
 
 
 def __getattr__(name: str):

@@ -1,4 +1,4 @@
-"""The compiled chained loop against the Python reference loops.
+"""The compiled chained loop and key walk against the Python reference loops.
 
 The compiled side is skipped only where no C compiler could build it
 (``sebq.transforms.BACKEND == "python"``); the fallback checks always run.
@@ -8,14 +8,15 @@ import os
 import random
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from sebq import _ckernel, transforms
+from sebq import _ckernel, latin, transforms
 from sebq.cipher import _C_MIN_LOOKUPS, decrypt, encrypt, keygen, lookups_per_block, pack_bits, pad
 from sebq.feistel import ConstantExpander, QuasigroupSponge
-from sebq.formats import decode_frame, open_bytes, seal_bytes
+from sebq.formats import decode_frame, key_fingerprint, open_bytes, seal_bytes
 from sebq.transforms import _decrypt_chain, _encrypt_chain
 
 compiled = pytest.mark.skipif(transforms.BACKEND == "python", reason="no compiled kernel loaded")
@@ -198,3 +199,107 @@ def test_source_compiles_without_warnings(tmp_path):
     cmd = ["cc", *_ckernel.FLAGS, "-Wall", "-Wextra", "-Werror", "-x", "c", "-o", str(tmp_path / "k.so"), "-"]
     built = subprocess.run(cmd, input=_ckernel.SOURCE.encode(), capture_output=True, timeout=120)
     assert built.returncode == 0, built.stderr.decode()
+
+
+@pytest.fixture
+def python_walk(monkeypatch):
+    """Call it to switch ``random_latin_square`` to the Python walk for the rest of the test."""
+
+    def use():
+        monkeypatch.setattr(latin, "_kernel", lambda: None)
+
+    return use
+
+
+@compiled
+def test_walk_keys_match_python_walk(python_walk):
+    seeds = [(k, 1000 * k + s) for k in range(1, 9) for s in range(50)]
+    compiled_keys = [key_fingerprint(keygen(k, s)) for k, s in seeds]
+    python_walk()
+    assert compiled_keys == [key_fingerprint(keygen(k, s)) for k, s in seeds]
+
+
+@compiled
+def test_walk_squares_match_python_walk(python_walk):
+    cases = [(n, 31 * n + s) for n in [*range(1, 21), 31, 100, 300] for s in range(3)]
+    compiled_squares = [latin.random_latin_square(n, s) for n, s in cases]
+    compiled_rng = random.Random(77)
+    compiled_squares.append(latin.random_latin_square(40, compiled_rng))
+    python_walk()
+    python_rng = random.Random(77)
+    want = [latin.random_latin_square(n, s) for n, s in cases]
+    want.append(latin.random_latin_square(40, python_rng))
+    assert compiled_squares == want
+    # a caller's Random object is advanced alike on both sides
+    assert compiled_rng.getstate() == python_rng.getstate()
+
+
+@compiled
+def test_order_256_walk_resumes_on_each_bit_refill(python_walk, monkeypatch):
+    calls = []
+    walk = _ckernel.Kernel.walk
+
+    def counting_walk(self, *args):
+        calls.append(args[6].size)
+        return walk(self, *args)
+
+    monkeypatch.setattr(_ckernel.Kernel, "walk", counting_walk)
+    square = latin.random_latin_square(256, 4)
+    assert len(calls) >= 101 and set(calls) == {8192}
+    python_walk()
+    assert latin.random_latin_square(256, 4) == square
+
+
+def walk_arrays(n, ncells=8192, nadds=8192, nbits=8192):
+    L = (np.arange(n)[:, None] + np.arange(n)) % n
+    col_of = np.argsort(L, axis=1)
+    row_of = np.ascontiguousarray(np.argsort(L, axis=0).T)
+    gen = np.random.default_rng(3)
+    state = np.zeros(_ckernel.WALK_STATE, dtype=np.int64)
+    state[4] = -1
+    return (L, col_of, row_of, 256, gen.integers(0, n, ncells), gen.integers(0, n - 1, nadds),
+            gen.integers(0, 2, nbits), state)
+
+
+@compiled
+@pytest.mark.parametrize("ncells, nadds", [(511, 8192), (8192, 255), (0, 0)])
+def test_walk_refuses_to_read_past_cells_or_adds(ncells, nadds):
+    args = walk_arrays(8, ncells, nadds)
+    with pytest.raises(RuntimeError, match="internal error"):
+        while transforms._kernel().walk(*args):
+            args = (*args[:6], np.random.default_rng(5).integers(0, 2, 8192), args[7])
+            args[7][3] = 0
+    # it stopped before the move it could not read, its indices inside the buffers
+    assert args[7][1] <= ncells and args[7][2] <= nadds
+
+
+@compiled
+def test_walk_stops_for_bits_before_reading_past_them():
+    args = walk_arrays(8, nbits=2)
+    assert transforms._kernel().walk(*args)
+    # stopped at the first defect move, with no bit read
+    state = args[7]
+    assert state[0] < 256 and state[4] >= 0 and state[3] == 0
+
+
+@compiled
+@pytest.mark.parametrize("which, bad", [(0, np.zeros((8, 8), dtype=np.int32)),
+                                        (1, np.zeros((8, 7), dtype=np.int64)),
+                                        (4, np.zeros((2, 8), dtype=np.int64)),
+                                        (7, np.zeros(_ckernel.WALK_STATE - 1, dtype=np.int64))])
+def test_walk_refuses_misshapen_arrays(which, bad):
+    args = list(walk_arrays(8))
+    args[which] = bad
+    with pytest.raises(ValueError):
+        transforms._kernel().walk(*args)
+
+
+def test_python_fallback_walks_to_the_same_key(tmp_path):
+    """With no compiler on PATH and an empty cache the Python walk runs, to the same key."""
+    code = "from sebq import cipher, formats, transforms; " \
+           "print(transforms.BACKEND, formats.key_fingerprint(cipher.keygen(8, 21)))"
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {**os.environ, "PATH": str(tmp_path), "XDG_CACHE_HOME": str(tmp_path / "cache"), "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True).stdout.split()
+    assert out == ["python", key_fingerprint(keygen(8, 21))]

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from sebq.cipher import encrypt, pack_bits
-from sebq.cli import main
+from sebq.cli import build_parser, main
 from sebq.formats import decode_frame, encode_frame, load_key
 
 
@@ -420,3 +420,52 @@ class TestAvalancheTrials:
         )
         assert code == 0
         assert "over 20 flips" in out
+
+
+class TestParserReuse:
+    """One process runs many ``main`` calls on the one cached parser."""
+
+    def calls(self, tmp_path):
+        key, msg = str(tmp_path / "key.lsq"), tmp_path / "msg.bin"
+        msg.write_bytes(bytes(range(256)) * 3)
+        crypt = ("--key", key, "--in", str(msg), "--out")
+        return [
+            ("keygen", "--k", "4", "--seed", "9", "--out", key),
+            ("encrypt", *crypt, str(tmp_path / "a.sebq"), "--seed", "5", "--scheme", "cca2",
+             "--a", "6", "--n", "3"),
+            ("encrypt", *crypt, str(tmp_path / "b.sebq")),
+            ("decrypt", "--key", key, "--in", str(tmp_path / "a.sebq"), "--out", str(tmp_path / "a.out")),
+            ("encrypt", "--key", key, "--bogus"),
+            ("--help",),
+            ("encrypt", *crypt, str(tmp_path / "c.sebq"), "--seed", "5"),
+        ]
+
+    def run_all(self, capsys, tmp_path, fresh):
+        results = []
+        for argv in self.calls(tmp_path):
+            if fresh:
+                build_parser.cache_clear()
+            results.append(run(capsys, *argv))
+        files = {name: (tmp_path / name).read_bytes() for name in ("key.lsq", "a.sebq", "a.out", "c.sebq")}
+        return results, files, decode_frame((tmp_path / "b.sebq").read_bytes())
+
+    def test_cached_parser_runs_like_fresh_ones(self, capsys, tmp_path):
+        fresh = self.run_all(capsys, tmp_path, fresh=True)
+        assert build_parser() is build_parser()
+        cached = self.run_all(capsys, tmp_path, fresh=False)
+        assert cached[:2] == fresh[:2]
+        assert [code for code, _, _ in cached[0]] == [0, 0, 0, 0, 1, 0, 0]
+        assert cached[1]["a.out"] == bytes(range(256)) * 3
+
+    def test_no_argument_leaks_into_the_next_call(self, capsys, tmp_path):
+        self.run_all(capsys, tmp_path, fresh=False)
+        unseeded = decode_frame((tmp_path / "b.sebq").read_bytes())
+        seeded = decode_frame((tmp_path / "c.sebq").read_bytes())
+        # neither the cca2 call's --scheme, --a and --n nor its --seed carried over
+        for frame in (unseeded, seeded):
+            assert (frame.version, frame.n, frame.a) == (1, 8, None)
+        assert unseeded.iv != seeded.iv
+        parser = build_parser()
+        parser.parse_args(["encrypt", "--key", "k", "--in", "i", "--out", "o", "--seed", "5", "--a", "6"])
+        args = parser.parse_args(["encrypt", "--key", "k", "--in", "i", "--out", "o"])
+        assert (args.seed, args.a, args.scheme, args.n, args.iv_hex) == (None, None, "plain", 8, None)
