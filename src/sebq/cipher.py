@@ -42,7 +42,7 @@ __all__ = [
 MAX_SYMBOL_BITS = 8
 
 # a compiled call costs what some 64 Python lookups do (a few microseconds);
-# shorter plain runs, such as single blocks, stay in Python
+# shorter runs, such as single blocks, stay in Python
 _C_MIN_LOOKUPS = 64
 
 
@@ -163,15 +163,15 @@ def _run(key: SebqKey, iv, blocks, expander: Expander | None, inverse: bool):
         raise ValueError("iv must hold at least one block")
     _check_symbols(key.order, iv, "iv")
     _check_symbols(key.order, blocks, "ciphertext" if inverse else "message")
-    if expander is None and len(iv) * len(blocks) >= _C_MIN_LOOKUPS and _kernel() is not None:
-        return _kernel().run(key._tables[inverse], key.k, iv, blocks, inverse)[0]
-    if expander is not None and lookups_per_block(len(iv), expander.a) * len(blocks) >= _C_MIN_LOOKUPS:
+    a = None if expander is None else expander.a
+    if lookups_per_block(len(iv), a) * len(blocks) >= _C_MIN_LOOKUPS and _kernel() is not None:
+        if expander is None:
+            return _kernel().run(key._tables[inverse], key.k, iv, blocks, inverse)[0]
         from sebq.feistel import QuasigroupSponge  # feistel imports this module
 
         # the exact type: a subclass may override expand, and then runs its own
-        if type(expander) is QuasigroupSponge and expander.q is key.q and _kernel() is not None:
-            return _kernel().run_cca2(key._tables, key.k, iv, blocks, expander._squeeze,
-                                      expander.a, inverse)
+        if type(expander) is QuasigroupSponge and expander.q is key.q:
+            return _kernel().run_cca2(key._tables, key.k, iv, blocks, expander._squeeze, a, inverse)
     chain, rows = (_decrypt_chain, key.q.ldiv_rows) if inverse else (_encrypt_chain, key.q.mul_rows)
     iv, blocks = _listed(iv), _listed(blocks)
     if expander is None:

@@ -18,7 +18,7 @@ import numpy as np
 
 # sebq.analysis imports scipy, some 0.3 s: only the analyze commands import it
 from sebq import formats, games
-from sebq.cipher import PaddingError, _check_k, keygen, unpack_bits
+from sebq.cipher import PaddingError, _check_k, keygen, pack_bits, unpack_bits
 from sebq.latin import as_rng
 
 EXIT_OK = 0
@@ -62,9 +62,9 @@ def cmd_encrypt(args) -> int:
     iv = None
     if args.iv_hex is not None:
         raw = bytes.fromhex(args.iv_hex)
-        if len(raw) * 8 < args.n * key.k:
-            return _fail(EXIT_USAGE, "--iv-hex too short for n blocks")
         iv = unpack_bits(raw, key.k, args.n)
+        if pack_bits(iv, key.k) != raw:
+            return _fail(EXIT_USAGE, f"--iv-hex must hold exactly --n {args.n} symbols of {key.k} bits")
     frame = formats.seal_bytes(
         key, data, n=args.n, seed=args.seed, iv=iv, scheme=args.scheme, a=args.a
     )

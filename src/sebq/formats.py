@@ -78,8 +78,7 @@ EXPANDER_SPONGE = 0x00
 # n and a inside their 16-bit header fields
 MAX_LOOKUPS_PER_BLOCK = 4096
 
-_FIXED_V1 = struct.Struct(">4sBBHQ")
-_FIXED_V2 = struct.Struct(">4sBBHHBQ")
+_HEADERS = {FRAME_V1: struct.Struct(">4sBBHQ"), FRAME_V2: struct.Struct(">4sBBHHBQ")}
 
 
 class FrameError(ValueError):
@@ -206,10 +205,9 @@ def encode_frame(
     n = len(iv)
     _check_header(key.k, n, a, ValueError)
     iv_bytes = pack_bits(list(iv), key.k)
-    if a is None:
-        head = _FIXED_V1.pack(FRAME_MAGIC, FRAME_V1, key.k, n, bit_length)
-    else:
-        head = _FIXED_V2.pack(FRAME_MAGIC, FRAME_V2, key.k, n, a, expander_id, bit_length)
+    tail = () if a is None else (a, expander_id)
+    version = FRAME_V2 if tail else FRAME_V1
+    head = _HEADERS[version].pack(FRAME_MAGIC, version, key.k, n, *tail, bit_length)
     return head + iv_bytes + payload
 
 
@@ -217,31 +215,20 @@ def decode_frame(data: bytes) -> CipherFrame:
     if len(data) < 5 or data[:4] != FRAME_MAGIC:
         raise BadMagic("not a SEBQ frame")
     version = data[4]
-    if version == FRAME_V1:
-        if len(data) < _FIXED_V1.size:
-            raise FrameError("truncated frame header")
-        _, _, k, n, bit_length = _FIXED_V1.unpack_from(data)
-        a = None
-        expander_id = 0
-        offset = _FIXED_V1.size
-    elif version == FRAME_V2:
-        if len(data) < _FIXED_V2.size:
-            raise FrameError("truncated frame header")
-        _, _, k, n, a, expander_id, bit_length = _FIXED_V2.unpack_from(data)
-        offset = _FIXED_V2.size
-    else:
+    head = _HEADERS.get(version)
+    if head is None:
         raise FrameError(f"unsupported frame version {version}")
+    if len(data) < head.size:
+        raise FrameError("truncated frame header")
+    _, _, k, n, *tail, bit_length = head.unpack_from(data)
+    a, expander_id = tail or (None, 0)
     _check_header(k, n, a, FrameError)
-    iv_len = (n * k + 7) // 8
-    blocks = _padded_block_count(bit_length, k)
-    payload_len = (blocks * k + 7) // 8
-    if len(data) != offset + iv_len + payload_len:
-        raise FrameError(
-            f"frame length {len(data)} != expected {offset + iv_len + payload_len}"
-        )
-    iv = tuple(unpack_bits(data[offset : offset + iv_len], k, n))
-    payload = data[offset + iv_len :]
-    return CipherFrame(version, k, n, bit_length, iv, payload, a, expander_id)
+    iv_end = head.size + (n * k + 7) // 8
+    size = iv_end + (_padded_block_count(bit_length, k) * k + 7) // 8
+    if len(data) != size:
+        raise FrameError(f"frame length {len(data)} != expected {size}")
+    iv = tuple(unpack_bits(data[head.size : iv_end], k, n))
+    return CipherFrame(version, k, n, bit_length, iv, data[iv_end:], a, expander_id)
 
 
 def seal_bytes(
@@ -260,13 +247,10 @@ def seal_bytes(
     ``"plain"`` (version 1) or ``"cca2"`` (version 2, leader vectors pass
     through the keyed expander, ``a`` defaults to ``2*n``).
     """
-    rng = as_rng(seed)
     if iv is None:
+        rng = as_rng(seed)
         iv = [rng.randrange(key.order) for _ in range(n)]
-    else:
-        iv = list(iv)
-        n = len(iv)
-    a = feistel._scheme_a(scheme, n, a)
+    a = feistel._scheme_a(scheme, len(iv), a)
     bits = _bytes_to_bits(data)
     # the header first: it rejects an IV or expander length the frame cannot hold
     head = encode_frame(key, iv, len(bits), b"", a=a)

@@ -6,20 +6,21 @@ the chain into the last slot to form the next leader.  :func:`_encrypt_chain`
 runs that step over a block string and :func:`_decrypt_chain` runs its
 inverse; every encrypt and decrypt path in the package runs one of them.
 The two loops check nothing: each public entry checks its input once.
-Block symbols are ints in ``0..order-1``; leaders and messages are
-sequences or 1-D arrays of such ints.
+Block symbols are integers (a float is refused on every path) in
+``0..order-1``; leaders and messages are sequences or 1-D arrays of them.
 
 The same step compiled from C (:mod:`sebq._ckernel`) carries long runs when
-a C compiler is at hand: plain runs, and cca2 runs whose expander is the
-key's own :class:`sebq.feistel.QuasigroupSponge`, sponge included.  The
-same library runs the key walk of :func:`sebq.latin.random_latin_square`,
-which stops for Python to refill its bits buffer and resumes.
+a C compiler is at hand: ``sebq_chain`` plain runs, and ``sebq_cca2`` those
+whose expander is the key's own :class:`sebq.feistel.QuasigroupSponge`,
+each in the direction it is given.  The same library runs the key walk of
+:func:`sebq.latin.random_latin_square`, resumed at each refill of its bits.
 :data:`BACKEND` names what loaded, ``"c"`` or ``"python"``, for both.  The
 Python loops stay the reference.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -51,13 +52,20 @@ def __getattr__(name: str):
 
 
 def _check_symbols(order: int, v: Sequence[int], what: str) -> None:
-    """Raise ``ValueError`` unless every symbol of ``v`` is in ``0..order-1``."""
-    if not len(v):
-        return
-    lo, hi = (v.min(), v.max()) if isinstance(v, np.ndarray) else (min(v), max(v))
-    if lo < 0 or hi >= order:
-        bad = next(s for s in v if not 0 <= s < order)
-        raise ValueError(f"{what} symbol {bad} out of range 0..{order - 1}")
+    """Raise ``ValueError`` unless every symbol of ``v`` is an integer in ``0..order-1``."""
+    if isinstance(v, np.ndarray) and v.dtype.kind in "iu":
+        if not len(v) or 0 <= v.min() and v.max() < order:
+            return
+        v = v.tolist()
+    # one pass in Python, cheapest for the short leaders and single blocks most
+    # calls check; a float would be truncated by the compiled loop
+    for s in v:
+        try:
+            if 0 <= operator.index(s) < order:
+                continue
+        except TypeError:
+            raise ValueError(f"{what} symbol {s} is not an integer") from None
+        raise ValueError(f"{what} symbol {s} out of range 0..{order - 1}")
 
 
 def _encrypt_chain(mul, state: Sequence[int], message) -> tuple[list[int], list[int]]:

@@ -18,6 +18,7 @@ from sebq.cipher import (
     unpack_bits,
     unpad,
 )
+from sebq.formats import seal_bytes
 from sebq.latin import xor_latin_square
 from sebq.transforms import d_transform, e_transform
 
@@ -199,6 +200,20 @@ class TestMessageOps:
             decrypt(key, np.array([2, -1]), np.array(ct))
         with pytest.raises(ValueError, match="iv must hold at least one block"):
             encrypt(key, np.array([], dtype=np.uint8), msg)
+
+    def test_non_integer_symbols_refused_on_either_loop(self):
+        key = keygen(4, 3)
+        iv = list(range(1, 9))
+        # 100 blocks run on the compiled loop when it loads, 1 block on the Python one
+        for msg in ([1.5] * 100, [1.5], np.full(100, 1.5), [1, 2, 2.0]):
+            with pytest.raises(ValueError, match=r"message symbol [\d.]+ is not an integer"):
+                encrypt(key, iv, msg)
+        with pytest.raises(ValueError, match="iv symbol 1.5 is not an integer"):
+            decrypt(key, [1.5] * 8, [1] * 100)
+        with pytest.raises(ValueError, match="symbol 1.5 is not an integer"):
+            pack_bits([1.5, 2.9], 4)
+        with pytest.raises(ValueError, match="symbol 1.5 is not an integer"):
+            seal_bytes(key, bytes(64), iv=[1.5] * 8)
 
 
 class TestPacking:

@@ -145,7 +145,9 @@ class TestCrypt:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--n", "0"], ["--n", "70000"], ["--iv-hex", "zz"], ["--scheme", "cca2", "--a", "1"]],
+        [["--n", "0"], ["--n", "70000"], ["--iv-hex", "zz"], ["--scheme", "cca2", "--a", "1"],
+         # an --iv-hex that is not exactly --n symbols: too short, a digit over, a byte over
+         ["--n", "4", "--iv-hex", "ab"], ["--n", "3", "--iv-hex", "abcd"], ["--n", "4", "--iv-hex", "abcdef"]],
     )
     def test_bad_parameter_exits_1(self, capsys, tmp_path, key_path, extra):
         src = tmp_path / "m.bin"
