@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gammaincc
 
-from sebq.cipher import SebqKey, _bits_from_blocks, _blocks_from_bits, encrypt, keygen
+from sebq.cipher import SebqKey, _bits, _unpack_blocks, encrypt, keygen, pack_bits
 from sebq.latin import SeedLike, as_rng, intercalate_swap, latin_square_log2_bounds
 from sebq.transforms import _encrypt_chain
 
@@ -66,15 +66,6 @@ class TestReport:
     note: str = ""
 
 
-def _as_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1:
-        arr = arr.ravel()
-    if arr.size and arr.max() > 1:
-        raise ValueError("bit sequence must contain only 0 and 1")
-    return arr
-
-
 def _report(name, p, alpha, n, note="") -> TestReport:
     p = float(min(max(p, 0.0), 1.0))
     return TestReport(name, p, p >= alpha, n, note=note)
@@ -86,7 +77,7 @@ def _skip(name, n, why) -> TestReport:
 
 def frequency_test(bits, alpha: float = 0.01) -> TestReport:
     """Monobit balance: erfc of the scaled absolute +/-1 sum."""
-    b = _as_bits(bits)
+    b = _bits(bits)
     n = b.size
     if n < 1:
         return _skip("frequency", n, "empty sequence")
@@ -95,7 +86,7 @@ def frequency_test(bits, alpha: float = 0.01) -> TestReport:
 
 
 def block_frequency_test(bits, alpha: float = 0.01, block_size: int = 128) -> TestReport:
-    b = _as_bits(bits)
+    b = _bits(bits)
     n = b.size
     nblocks = n // block_size
     if nblocks < 1:
@@ -106,7 +97,7 @@ def block_frequency_test(bits, alpha: float = 0.01, block_size: int = 128) -> Te
 
 
 def runs_test(bits, alpha: float = 0.01) -> TestReport:
-    b = _as_bits(bits)
+    b = _bits(bits)
     n = b.size
     if n < 2:
         return _skip("runs", n, "needs at least 2 bits")
@@ -130,7 +121,7 @@ _LONGEST_RUN_TABLES = {
 def longest_run_test(bits, alpha: float = 0.01) -> TestReport:
     """Longest run of ones within fixed-size blocks, chi-square against
     the reference category probabilities."""
-    b = _as_bits(bits)
+    b = _bits(bits)
     n = b.size
     if n < 128:
         return _skip("longest_run", n, "needs at least 128 bits")
@@ -163,7 +154,7 @@ def _phi(x: float) -> float:
 
 def cumulative_sums_test(bits, alpha: float = 0.01, forward: bool = True) -> TestReport:
     name = "cusum_forward" if forward else "cusum_backward"
-    b = _as_bits(bits)
+    b = _bits(bits)
     n = b.size
     if n < 2:
         return _skip(name, n, "needs at least 2 bits")
@@ -204,7 +195,7 @@ def _psi_sq(b: np.ndarray, m: int) -> float:
 def serial_test(bits, alpha: float = 0.01, m: int = 5) -> tuple[TestReport, TestReport]:
     """Overlapping m-pattern uniformity; two p-values from the first and
     second difference of the psi-square statistics."""
-    b = _as_bits(bits)
+    b = _bits(bits)
     n = b.size
     if m < 2 or n < (1 << (m + 1)):
         return (
@@ -222,7 +213,7 @@ def serial_test(bits, alpha: float = 0.01, m: int = 5) -> tuple[TestReport, Test
 
 
 def approximate_entropy_test(bits, alpha: float = 0.01, m: int = 2) -> TestReport:
-    b = _as_bits(bits)
+    b = _bits(bits)
     n = b.size
     if n < (1 << (m + 2)):
         return _skip("approx_entropy", n, f"needs at least {1 << (m + 2)} bits")
@@ -243,7 +234,9 @@ def randomness_suite(bits, alpha: float = 0.01) -> list[TestReport]:
     Sub-tests whose minimum length is not met come back flagged as skipped
     rather than failing.
     """
-    b = _as_bits(bits)
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    b = _bits(bits)
     if b.size < 100:
         raise ValueError("suite needs at least 100 bits")
     reports = [
@@ -264,12 +257,12 @@ def randomness_suite(bits, alpha: float = 0.01) -> list[TestReport]:
 
 def encrypt_bit_sequence(key: SebqKey, iv: Sequence[int], plaintext_bits) -> np.ndarray:
     """Encrypt a k-aligned bit sequence and return the ciphertext bits."""
-    bits = _as_bits(plaintext_bits)
+    bits = _bits(plaintext_bits)
     k = key.k
     if bits.size % k:
         raise ValueError(f"bit length {bits.size} not a multiple of k={k}")
-    ct = encrypt(key, iv, _blocks_from_bits(bits, k))
-    return _bits_from_blocks(np.array(ct, dtype=np.uint8), k)
+    ct = encrypt(key, iv, _unpack_blocks(np.packbits(bits), k, bits.size // k))
+    return np.unpackbits(np.frombuffer(pack_bits(ct, k), dtype=np.uint8), count=bits.size)
 
 
 def _experiment_plaintext(kind: str, nbits: int, rng) -> np.ndarray:
@@ -384,7 +377,7 @@ def avalanche(
     if target == "key" and trials < 1:
         raise ValueError("key avalanche needs at least one swap")
     rng = as_rng(seed)
-    bits = _as_bits(message_bits)
+    bits = _bits(message_bits)
     iv = list(iv)
     base_ct = encrypt_bit_sequence(key, iv, bits)
     percents = []

@@ -3,8 +3,11 @@
 Key generation from random Latin squares of power-of-two order, the
 per-block encrypt/decrypt maps with their chained leader state, the
 whole-message maps (plain, or with a leader expander per block), and the
-bit-packing / padding plumbing that connects k-bit symbols to byte
-streams.  The chained step itself lives in :mod:`sebq.transforms`.
+plumbing that connects k-bit symbols to byte streams.  The symbol layout
+(MSB first, contiguous) lives in :func:`pack_bits` and ``_unpack_blocks``
+alone, and the ``1 0*`` padding rule in ``_padded_blocks`` and
+``_unpadded_length`` alone; both work on bytes.  The chained step itself
+lives in :mod:`sebq.transforms`.
 """
 
 from __future__ import annotations
@@ -219,37 +222,28 @@ def decrypt(
     return _listed(_run(key, iv, ciphertext, expander, inverse=True))
 
 
-# one strided column per bit: a few times faster than packbits/unpackbits along rows
-def _blocks_from_bits(bits: np.ndarray, k: int) -> np.ndarray:
-    """Read a 0/1 ``uint8`` array, of a length k divides, as MSB-first k-bit ``uint8`` symbols."""
-    cols = bits.reshape(-1, k)
-    out = cols[:, 0].copy()
-    for j in range(1, k):
-        out <<= 1
-        out |= cols[:, j]
-    return out
-
-
-def _bits_from_blocks(blocks: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of :func:`_blocks_from_bits`: the MSB-first bits of ``uint8`` symbols."""
-    cols = np.empty((blocks.size, k), dtype=np.uint8)
-    for j in range(k):
-        np.right_shift(blocks, k - 1 - j, out=cols[:, j])
-    cols &= 1
-    return cols.ravel()
-
-
-def _symbols(blocks, k: int) -> np.ndarray:
-    """``blocks`` as a ``uint8`` array, refused unless every value is a k-bit symbol."""
-    arr = np.asarray(blocks)
-    _check_symbols(1 << k, arr, "block")
+def _bits(bits) -> np.ndarray:
+    """``bits`` flattened to a ``uint8`` array, refused unless every value is 0 or 1."""
+    arr = np.asarray(bits).ravel()
+    # on uint8, the common case, one max() pass is the whole check
+    bad = arr.max(initial=0) > 1 if arr.dtype == np.uint8 else not ((arr == 0) | (arr == 1)).all()
+    if bad:
+        raise ValueError("bits must be 0 or 1")
     return arr.astype(np.uint8, copy=False)
 
 
+# one strided column per bit: a few times faster than packbits/unpackbits along rows
 def pack_bits(blocks: Sequence[int], k: int) -> bytes:
     """Pack k-bit symbols into bytes, most significant bit first, contiguous."""
     _check_k(k)
-    return np.packbits(_bits_from_blocks(_symbols(blocks, k), k)).tobytes()
+    arr = np.asarray(blocks)
+    _check_symbols(1 << k, arr, "block")
+    arr = arr.astype(np.uint8, copy=False)
+    cols = np.empty((arr.size, k), dtype=np.uint8)
+    for j in range(k):
+        np.right_shift(arr, k - 1 - j, out=cols[:, j])
+    cols &= 1
+    return np.packbits(cols).tobytes()
 
 
 def _unpack_blocks(data: bytes, k: int, count: int) -> np.ndarray:
@@ -260,7 +254,12 @@ def _unpack_blocks(data: bytes, k: int, count: int) -> np.ndarray:
     need = k * count
     if len(data) * 8 < need:
         raise ValueError(f"need {need} bits, have {len(data) * 8}")
-    return _blocks_from_bits(np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=need), k)
+    cols = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=need).reshape(-1, k)
+    out = cols[:, 0].copy()
+    for j in range(1, k):
+        out <<= 1
+        out |= cols[:, j]
+    return out
 
 
 def unpack_bits(data: bytes, k: int, count: int) -> list[int]:
@@ -268,15 +267,18 @@ def unpack_bits(data: bytes, k: int, count: int) -> list[int]:
     return _unpack_blocks(data, k, count).tolist()
 
 
-def _pad_blocks(bits, k: int) -> np.ndarray:
-    """:func:`pad` as a ``uint8`` array."""
-    _check_k(k)
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.size and arr.max() > 1:
-        raise ValueError("bits must be 0 or 1")
-    tail = (-(arr.size + 1)) % k
-    padded = np.concatenate([arr, np.ones(1, dtype=np.uint8), np.zeros(tail, dtype=np.uint8)])
-    return _blocks_from_bits(padded, k)
+def _padded_blocks(bit_length: int, k: int) -> int:
+    """The k-bit symbols a ``bit_length``-bit message fills once padded: it always gains a bit."""
+    return bit_length // k + 1
+
+
+def _unpadded_length(data: bytes) -> int:
+    """The bits of ``data`` before its last 1 bit, the pad marker; :class:`PaddingError` if none."""
+    body = data.rstrip(b"\0")
+    if not body:
+        raise PaddingError("malformed padding: no terminating 1 bit")
+    # the marker is the lowest set bit of the last non-zero byte
+    return 8 * len(body) - (body[-1] & -body[-1]).bit_length()
 
 
 def pad(bits: Sequence[int], k: int) -> list[int]:
@@ -285,7 +287,11 @@ def pad(bits: Sequence[int], k: int) -> list[int]:
     Always appends at least one bit, so aligned input grows by one full
     block and removal is unambiguous.
     """
-    return _pad_blocks(bits, k).tolist()
+    _check_k(k)
+    arr = _bits(bits)
+    # the zero byte covers the marker's zeros past the last whole byte
+    data = np.packbits(np.append(arr, 1)).tobytes() + b"\0"
+    return unpack_bits(data, k, _padded_blocks(arr.size, k))
 
 
 def unpad(blocks: Sequence[int], k: int) -> np.ndarray:
@@ -293,13 +299,7 @@ def unpad(blocks: Sequence[int], k: int) -> np.ndarray:
 
     Raises :class:`PaddingError` when no 1 bit terminates the data.
     """
-    _check_k(k)
-    arr = _symbols(blocks, k)
-    if arr.size == 0:
+    data = pack_bits(blocks, k)
+    if not data:
         raise PaddingError("no data to unpad")
-    last = arr.size - 1 - int(np.argmax(arr[::-1] != 0))
-    v = int(arr[last])
-    if v == 0:
-        raise PaddingError("malformed padding: no terminating 1 bit")
-    # the terminating 1 is the lowest set bit of the last non-zero block
-    return _bits_from_blocks(arr[: last + 1], k)[: last * k + k - (v & -v).bit_length()]
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=_unpadded_length(data))

@@ -7,7 +7,9 @@ Loading rejects anything that is not a Latin square.
 Cipher frame (big-endian): magic ``SEBQ``, version byte, ``k`` (1 byte),
 ``n`` (2 bytes), then for version 2 the expander length ``a`` (2 bytes) and
 an expander identifier byte, then the plaintext bit length (8 bytes), the
-packed IV (``ceil(n*k/8)`` bytes), and the packed ciphertext payload.
+packed IV (``ceil(n*k/8)`` bytes), and the packed ciphertext of the
+plaintext padded ``1 0*`` to whole k-bit symbols.  The padding is added and
+removed on bytes, with no array of one byte per bit.
 
 A header fixes the table lookups each payload block costs to decrypt
 (:func:`lookups_per_block`): ``n`` for version 1 and ``n**2 + 2n*ceil(a/2)
@@ -29,19 +31,19 @@ from sebq.cipher import (
     MAX_SYMBOL_BITS,
     PaddingError,
     SebqKey,
-    _pad_blocks,
+    _padded_blocks,
     _run,
     _unpack_blocks,
+    _unpadded_length,
     lookups_per_block,
     pack_bits,
     unpack_bits,
-    unpad,
 )
 from sebq.latin import LatinSquare, SeedLike, as_rng
 
 # Not used here: perfbench/spans.py wraps these names on this module, and its
 # tracer stops on a name it cannot resolve.
-from sebq.cipher import decrypt, encrypt, pad  # noqa: F401
+from sebq.cipher import decrypt, encrypt, pad, unpad  # noqa: F401
 from sebq.latin import validate_latin_square  # noqa: F401
 
 __all__ = [
@@ -170,12 +172,7 @@ class CipherFrame:
 
     @property
     def payload_blocks(self) -> int:
-        return _padded_block_count(self.bit_length, self.k)
-
-
-def _padded_block_count(bit_length: int, k: int) -> int:
-    # 10* padding always adds at least one bit
-    return (bit_length + 1 + k - 1) // k
+        return _padded_blocks(self.bit_length, self.k)
 
 
 def _check_header(k: int, n: int, a: int | None, error: type[ValueError]) -> None:
@@ -224,7 +221,7 @@ def decode_frame(data: bytes) -> CipherFrame:
     a, expander_id = tail or (None, 0)
     _check_header(k, n, a, FrameError)
     iv_end = head.size + (n * k + 7) // 8
-    size = iv_end + (_padded_block_count(bit_length, k) * k + 7) // 8
+    size = iv_end + (_padded_blocks(bit_length, k) * k + 7) // 8
     if len(data) != size:
         raise FrameError(f"frame length {len(data)} != expected {size}")
     iv = tuple(unpack_bits(data[head.size : iv_end], k, n))
@@ -247,14 +244,18 @@ def seal_bytes(
     ``"plain"`` (version 1) or ``"cca2"`` (version 2, leader vectors pass
     through the keyed expander, ``a`` defaults to ``2*n``).
     """
+    a = feistel._scheme_a(scheme, n if iv is None else len(iv), a)
     if iv is None:
+        # refuse the n given, not the length of an IV drawn from range(n)
+        _check_header(key.k, n, a, ValueError)
         rng = as_rng(seed)
         iv = [rng.randrange(key.order) for _ in range(n)]
-    a = feistel._scheme_a(scheme, len(iv), a)
-    bits = _bytes_to_bits(data)
+    padded = b"".join((data, b"\x80"))  # join takes any bytes-like data; 0x80 starts the pad
+    bit_length = 8 * len(padded) - 8
     # the header first: it rejects an IV or expander length the frame cannot hold
-    head = encode_frame(key, iv, len(bits), b"", a=a)
-    ct = _run(key, iv, _pad_blocks(bits, key.k), feistel._sponge(key, a), inverse=False)
+    head = encode_frame(key, iv, bit_length, b"", a=a)
+    blocks = _unpack_blocks(padded, key.k, _padded_blocks(bit_length, key.k))
+    ct = _run(key, iv, blocks, feistel._sponge(key, a), inverse=False)
     return head + pack_bits(ct, key.k)
 
 
@@ -266,19 +267,10 @@ def open_bytes(key: SebqKey, frame_bytes: bytes) -> bytes:
     if frame.expander_id != EXPANDER_SPONGE:
         raise FrameError(f"expander 0x{frame.expander_id:02x} requires an external plug-in")
     ct = _unpack_blocks(frame.payload, frame.k, frame.payload_blocks)
-    bits = unpad(_run(key, frame.iv, ct, feistel._sponge(key, frame.a), inverse=True), frame.k)
-    if bits.size != frame.bit_length:
-        raise PaddingError(
-            f"recovered {bits.size} plaintext bits, header says {frame.bit_length}"
-        )
-    return _bits_to_bytes(bits)
-
-
-def _bytes_to_bits(data: bytes) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-
-
-def _bits_to_bytes(bits: np.ndarray) -> bytes:
-    if bits.size % 8:
+    data = pack_bits(_run(key, frame.iv, ct, feistel._sponge(key, frame.a), inverse=True), frame.k)
+    n = _unpadded_length(data)
+    if n != frame.bit_length:
+        raise PaddingError(f"recovered {n} plaintext bits, header says {frame.bit_length}")
+    if n % 8:
         raise FrameError("plaintext bit length is not byte-aligned")
-    return np.packbits(bits).tobytes()
+    return data[: n // 8]

@@ -26,7 +26,7 @@ from sebq.analysis import (
     write_json_summary,
     write_stats_csv,
 )
-from sebq.cipher import SebqKey, keygen
+from sebq.cipher import SebqKey, keygen, pad
 from sebq.latin import xor_latin_square
 
 
@@ -67,6 +67,12 @@ class TestIndividualTests:
         with pytest.raises(ValueError):
             randomness_suite([0, 1] * 20)
 
+    @pytest.mark.parametrize("alpha", [0, 1, 2, -0.5, float("nan")])
+    def test_suite_rejects_alpha_outside_unit_interval(self, alpha):
+        bits = np.random.default_rng(2).integers(0, 2, 200, dtype=np.uint8)
+        with pytest.raises(ValueError, match="alpha"):
+            randomness_suite(bits, alpha)
+
     def test_good_rng_passes_consistently(self):
         gen = np.random.default_rng(42)
         per_seq = [
@@ -75,6 +81,35 @@ class TestIndividualTests:
         agg = aggregate_pass_rates(per_seq)
         for name, slot in agg.items():
             assert slot["success_pct"] >= 95.0, (name, slot["success_pct"])
+
+
+class TestBitCheck:
+    """Every bit-taking entry point, cipher and battery alike, takes only 0 and 1."""
+
+    CALLERS = {
+        "pad": lambda bits: pad(bits, 4),
+        "frequency_test": frequency_test,
+        "randomness_suite": randomness_suite,
+        "encrypt_bit_sequence": lambda bits: encrypt_bit_sequence(keygen(4, 1), [3, 5], bits),
+    }
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    @pytest.mark.parametrize(
+        "bits",
+        [[0.5, 1.7, 1, 0] * 50, np.full(200, 0.5), [256] * 200, [-1] * 200, [2] * 200,
+         np.full(200, 2, dtype=np.uint8), [None] * 200, ["1"] * 200],
+        ids=["floats", "float-array", "256", "-1", "2", "uint8-2", "none", "str"],
+    )
+    def test_refuses_non_bits(self, caller, bits):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            self.CALLERS[caller](bits)
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    def test_takes_bits_of_any_dtype(self, caller):
+        bits = np.random.default_rng(3).integers(0, 2, 200)
+        first = self.CALLERS[caller](bits.astype(np.uint8))
+        for same in (bits.tolist(), bits.astype(bool), bits.astype(float), bits.reshape(20, 10)):
+            assert repr(self.CALLERS[caller](same)) == repr(first)
 
 
 class TestCiphertextBattery:

@@ -160,6 +160,16 @@ class TestCrypt:
         assert err.startswith("error:")
         assert not (tmp_path / "m.sebq").exists()
 
+    def test_negative_n_named_as_given(self, capsys, tmp_path, key_path):
+        src = tmp_path / "m.bin"
+        src.write_bytes(b"data")
+        code, _, err = run(
+            capsys, "encrypt", "--key", str(key_path), "--in", str(src),
+            "--out", str(tmp_path / "m.sebq"), "--n", "-1",
+        )
+        assert code == 1
+        assert "n=-1" in err
+
     @pytest.mark.parametrize("a", [0, 1])
     def test_v2_expander_length_below_two_exits_3(self, capsys, tmp_path, key_path, a):
         src = tmp_path / "m.bin"
@@ -234,6 +244,16 @@ class TestAnalyze:
     def test_stats_rejects_bad_trials(self, capsys):
         code, _, _ = run(capsys, "analyze", "stats", "--trials", "0")
         assert code == 1
+
+    @pytest.mark.parametrize("alpha", ["2", "0", "nan"])
+    def test_stats_rejects_alpha_outside_unit_interval(self, capsys, alpha):
+        code, out, err = run(
+            capsys, "analyze", "stats", "--k", "2", "--n", "4", "--bits", "400",
+            "--trials", "1", "--seed", "1", "--alpha", alpha,
+        )
+        assert code == 1
+        assert "alpha" in err
+        assert "sub-tests" not in out
 
     def test_opcount_failure_prints_nothing(self, capsys):
         code, out, err = run(capsys, "analyze", "opcount", "--n", "2", "--k", "9", "--l", "2")

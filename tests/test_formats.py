@@ -1,10 +1,12 @@
 import random
 import struct
 
+import numpy as np
 import pytest
 
 import sebq.latin
-from sebq.cipher import PaddingError, encrypt, keygen, pack_bits
+from sebq.cipher import PaddingError, decrypt, encrypt, keygen, pack_bits, pad, unpack_bits
+from sebq.feistel import QuasigroupSponge
 from sebq.formats import (
     BadMagic,
     FrameError,
@@ -166,6 +168,23 @@ class TestSealOpen:
             data = bytes(rng.randrange(256) for _ in range(rng.randint(0, 200)))
             frame = seal_bytes(key, data, n=4, seed=rng.randrange(10**9), scheme=scheme)
             assert open_bytes(key, frame) == data
+
+    @pytest.mark.parametrize("scheme", ["plain", "cca2"])
+    def test_byte_padding_matches_bit_padding(self, scheme):
+        # seal pads on bytes; the payload must still be pad() of the message bits
+        rng = random.Random(11)
+        for k in range(1, 9):
+            key = keygen(k, k)
+            for length in range(41):
+                data = rng.randbytes(length)
+                frame = seal_bytes(key, data, n=3, seed=length, scheme=scheme)
+                for like in (bytearray(data), memoryview(data)):
+                    assert seal_bytes(key, like, n=3, seed=length, scheme=scheme) == frame
+                f = decode_frame(frame)
+                expander = None if f.a is None else QuasigroupSponge(key.q, f.a)
+                ct = unpack_bits(f.payload, k, f.payload_blocks)
+                assert decrypt(key, f.iv, ct, expander) == pad(np.unpackbits(np.frombuffer(data, np.uint8)), k)
+                assert open_bytes(key, frame) == data
 
     def test_empty_input_still_frames(self):
         key = keygen(4, 1)
