@@ -162,9 +162,9 @@ def _run(key: SebqKey, iv, blocks, expander: Expander | None, inverse: bool):
     runs its own ``expand`` on the Python per-block loop, the reference,
     which returns a list.
     """
+    _check_symbols(key.order, iv, "iv")
     if not len(iv):
         raise ValueError("iv must hold at least one block")
-    _check_symbols(key.order, iv, "iv")
     _check_symbols(key.order, blocks, "ciphertext" if inverse else "message")
     a = None if expander is None else expander.a
     if lookups_per_block(len(iv), a) * len(blocks) >= _C_MIN_LOOKUPS and _kernel() is not None:

@@ -62,6 +62,8 @@ def cmd_encrypt(args) -> int:
     iv = None
     if args.iv_hex is not None:
         raw = bytes.fromhex(args.iv_hex)
+        # a bad --n is refused as a frame parameter, as without --iv-hex
+        formats._check_header(key.k, args.n, None, ValueError)
         iv = unpack_bits(raw, key.k, args.n)
         if pack_bits(iv, key.k) != raw:
             return _fail(EXIT_USAGE, f"--iv-hex must hold exactly --n {args.n} symbols of {key.k} bits")

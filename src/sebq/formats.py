@@ -40,6 +40,7 @@ from sebq.cipher import (
     unpack_bits,
 )
 from sebq.latin import LatinSquare, SeedLike, as_rng
+from sebq.transforms import _check_symbols
 
 # Not used here: perfbench/spans.py wraps these names on this module, and its
 # tracer stops on a name it cannot resolve.
@@ -197,11 +198,12 @@ def encode_frame(
 ) -> bytes:
     """Assemble frame bytes; ``a`` switches the header to version 2.
 
-    Raises ``ValueError`` for a header :func:`decode_frame` would refuse.
+    Raises ``ValueError`` for a bad IV symbol or a header :func:`decode_frame` would refuse.
     """
+    _check_symbols(key.order, iv, "iv")
     n = len(iv)
     _check_header(key.k, n, a, ValueError)
-    iv_bytes = pack_bits(list(iv), key.k)
+    iv_bytes = pack_bits(iv, key.k)
     tail = () if a is None else (a, expander_id)
     version = FRAME_V2 if tail else FRAME_V1
     head = _HEADERS[version].pack(FRAME_MAGIC, version, key.k, n, *tail, bit_length)

@@ -19,7 +19,7 @@ import numpy as np
 
 from sebq import feistel
 from sebq.cipher import SebqKey, decrypt, encrypt, keygen
-from sebq.latin import SeedLike, as_rng
+from sebq.latin import SeedLike, _fill, _first_repeat, as_rng
 
 __all__ = [
     "QueryRestrictionError",
@@ -513,13 +513,9 @@ class PartialLatinSquare:
         n = arr.shape[0]
         if arr.max() >= n or arr.min() < -1:
             raise ValueError("cell symbols must be -1 or in 0..n-1")
-        for i in range(n):
-            row = arr[i][arr[i] >= 0]
-            if len(np.unique(row)) != len(row):
-                raise ValueError(f"known cells repeat a symbol in row {i}")
-            col = arr[:, i][arr[:, i] >= 0]
-            if len(np.unique(col)) != len(col):
-                raise ValueError(f"known cells repeat a symbol in column {i}")
+        repeat = _first_repeat(arr)
+        if repeat is not None:
+            raise ValueError(f"known cells repeat a symbol in {repeat.axis} {repeat.index}")
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
 
@@ -535,70 +531,22 @@ class CompletionResult:
 
 
 def complete_latin_square(partial: PartialLatinSquare) -> CompletionResult:
-    """Fill the unknown cells by backtracking with candidate elimination.
+    """Fill the unknown cells by backtracking over row and column bitmasks.
 
-    Cells are tried fewest-candidates-first.  Stops after finding two
+    The holes are ordered once, fewest candidates in the partial first.
+    Each step fills the first hole in that order that has one candidate
+    left, else the first open hole, trying its free symbols lowest first,
+    and backs up when an open hole has none.  Stops after finding two
     completions, so ``multiple`` flags ambiguity without enumerating all.
     """
-    n = partial.order
-    grid = [list(map(int, row)) for row in partial.cells]
-    full = (1 << n) - 1
-    row_used = [0] * n
-    col_used = [0] * n
-    holes = []
-    for i in range(n):
-        for j in range(n):
-            s = grid[i][j]
-            if s >= 0:
-                row_used[i] |= 1 << s
-                col_used[j] |= 1 << s
-            else:
-                holes.append((i, j))
+    found = []
 
-    solutions: list[np.ndarray] = []
+    def keep(grid) -> bool:
+        found.append(np.array(grid, dtype=np.int64))
+        return len(found) == 2
 
-    def rec() -> bool:
-        """Return True when the search should stop (two solutions found)."""
-        best = None
-        best_cands = None
-        best_count = n + 1
-        for (i, j) in holes:
-            if grid[i][j] >= 0:
-                continue
-            cands = ~(row_used[i] | col_used[j]) & full
-            cnt = cands.bit_count()
-            if cnt == 0:
-                return False
-            if cnt < best_count:
-                best, best_cands, best_count = (i, j), cands, cnt
-                if cnt == 1:
-                    break
-        if best is None:
-            solutions.append(np.array(grid, dtype=np.int64))
-            return len(solutions) >= 2
-        i, j = best
-        cands = best_cands
-        while cands:
-            bit = cands & -cands
-            cands ^= bit
-            s = bit.bit_length() - 1
-            grid[i][j] = s
-            row_used[i] |= bit
-            col_used[j] |= bit
-            if rec():
-                grid[i][j] = -1
-                row_used[i] ^= bit
-                col_used[j] ^= bit
-                return True
-            grid[i][j] = -1
-            row_used[i] ^= bit
-            col_used[j] ^= bit
-        return False
-
-    rec()
-    if not solutions:
-        return CompletionResult(None, False)
-    return CompletionResult(solutions[0], len(solutions) > 1)
+    _fill(partial.cells.tolist(), keep)
+    return CompletionResult(found[0] if found else None, len(found) > 1)
 
 
 def write_transcripts(path, records: list[dict]) -> None:

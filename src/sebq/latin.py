@@ -7,11 +7,12 @@ Symbols are always ``0..n-1`` so tables index directly as arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -110,26 +111,28 @@ def validate_latin_square(table) -> Optional[LatinViolation]:
         If the table is not square or holds out-of-range symbols.  These
         are structural defects, distinct from Latin-property violations.
     """
-    arr = _as_square_array(table)
-    n = arr.shape[0]
-    want = np.arange(n)
+    # a line of n symbols in 0..n-1 that repeats none holds each once
+    return _first_repeat(_as_square_array(table))
 
-    def first_duplicate(axis: str, index: int, line: np.ndarray) -> LatinViolation:
-        seen = np.zeros(n, dtype=bool)
-        for s in line:
-            if seen[s]:
-                return LatinViolation(axis, index, int(s))
-            seen[s] = True
-        raise AssertionError("no duplicate in a non-permutation line")
 
-    bad = np.nonzero((np.sort(arr, axis=1) != want).any(axis=1))[0]
-    if bad.size:
-        i = int(bad[0])
-        return first_duplicate("row", i, arr[i])
-    bad = np.nonzero((np.sort(arr, axis=0) != want[:, None]).any(axis=0))[0]
-    if bad.size:
-        j = int(bad[0])
-        return first_duplicate("column", j, arr[:, j])
+def _first_repeat(arr: np.ndarray) -> Optional[LatinViolation]:
+    """The first row, else the first column, where a known symbol repeats.
+
+    ``arr`` is a square ``int64`` array of symbols in ``-1..n-1``; cells of
+    ``-1`` are unknown.  The symbol reported is the first seen twice.
+    """
+    for axis, lines in (("row", arr), ("column", arr.T)):
+        ordered = np.sort(lines, axis=1)  # copies of a symbol side by side, -1 cells first
+        repeats = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)
+        del ordered  # freed before the column pass sorts its own copy
+        bad = np.flatnonzero(repeats.any(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            seen = set()
+            for s in lines[i][lines[i] >= 0].tolist():
+                if s in seen:
+                    return LatinViolation(axis, i, s)
+                seen.add(s)
     return None
 
 
@@ -428,104 +431,105 @@ def intercalate_swap(square: LatinSquare, seed: SeedLike = None) -> LatinSquare:
     n = square.order
     inverses = np.argsort(T, axis=1)  # column of each symbol per row
 
-    def try_cells(r1, r2, c1):
-        x = T[r1, c1]
-        y = T[r2, c1]
-        c2 = inverses[r1, y]
-        if c2 != c1 and T[r2, c2] == x:
-            return int(c2)
-        return None
-
-    found = None
-    for _ in range(20 * n * n):
-        r1 = rng.randrange(n)
-        r2 = rng.randrange(n - 1)
-        if r2 >= r1:
-            r2 += 1
-        c1 = rng.randrange(n)
-        c2 = try_cells(r1, r2, c1)
-        if c2 is not None:
-            found = (r1, r2, c1, c2)
+    # 20*n*n random probes, then every (r1, r2 != r1, c1); drawn lazily
+    draws = ((rng.randrange(n), rng.randrange(n - 1), rng.randrange(n)) for _ in range(20 * n * n))
+    probes = itertools.chain(
+        ((r1, r2 + (r2 >= r1), c1) for r1, r2, c1 in draws),
+        ((r1, r2, c1) for r1 in range(n) for r2 in range(n) if r2 != r1 for c1 in range(n)),
+    )
+    for r1, r2, c1 in probes:
+        c2 = inverses[r1, T[r2, c1]]
+        if c2 != c1 and T[r2, c2] == T[r1, c1]:
             break
-    if found is None:
-        for r1 in range(n):
-            for r2 in range(n):
-                if r2 == r1:
-                    continue
-                for c1 in range(n):
-                    c2 = try_cells(r1, r2, c1)
-                    if c2 is not None:
-                        found = (r1, r2, c1, c2)
-                        break
-                if found:
-                    break
-            if found:
-                break
-    if found is None:
+    else:
         raise ValueError("square has no intercalate")
-    r1, r2, c1, c2 = found
     out = T.copy()
     out[r1, c1], out[r1, c2] = T[r1, c2], T[r1, c1]
     out[r2, c1], out[r2, c2] = T[r2, c2], T[r2, c1]
     return LatinSquare(out)
 
 
+def _fill(grid: list[list[int]], found: Callable[[list[list[int]]], object]) -> None:
+    """Fill the ``-1`` cells of ``grid`` in place; call ``found(grid)`` at each Latin completion.
+
+    The known cells must repeat no symbol.  Holes are ordered once, fewest
+    initial candidates first (a stable sort: row-major on an empty grid).
+    Each step fills the first hole in that order with one candidate left,
+    else the first open one, lowest symbol first, and backs up when a hole
+    has none.  Forced holes never branch, so an empty grid yields its
+    squares in lexicographic order.  A true ``found`` stops the search.
+    """
+    n = len(grid)
+    full = (1 << n) - 1
+    row_used = [0] * n
+    col_used = [0] * n
+    for i, row in enumerate(grid):
+        for j, s in enumerate(row):
+            if s >= 0:
+                row_used[i] |= 1 << s
+                col_used[j] |= 1 << s
+    holes = [(row, i, j) for i, row in enumerate(grid) for j, s in enumerate(row) if s < 0]
+    holes.sort(key=lambda h: (~(row_used[h[1]] | col_used[h[2]]) & full).bit_count())
+
+    def rec() -> bool:
+        pick = None
+        for hole in holes:
+            row, i, j = hole
+            if row[j] >= 0:
+                continue
+            free = ~(row_used[i] | col_used[j]) & full
+            if not free:
+                return False
+            forced = not free & (free - 1)
+            if forced or pick is None:
+                pick, options = hole, free
+                if forced:
+                    break
+        if pick is None:
+            return found(grid)
+        row, i, j = pick
+        while options:
+            bit = options & -options
+            options ^= bit
+            row[j] = bit.bit_length() - 1
+            row_used[i] |= bit
+            col_used[j] |= bit
+            if rec():
+                return True
+            row_used[i] ^= bit
+            col_used[j] ^= bit
+        row[j] = -1
+        return False
+
+    rec()
+
+
 def enumerate_latin_squares(n: int) -> Iterator[np.ndarray]:
-    """Yield every order-n Latin square by row-major backtracking.
+    """Yield every order-n Latin square, in lexicographic (row-major) order.
 
     Guarded to ``n <= 4`` (576 squares); larger orders would materialize
     hundreds of thousands of arrays.
     """
     if not 1 <= n <= 4:
         raise ValueError("enumeration is guarded to 1 <= n <= 4")
-    grid = [[0] * n for _ in range(n)]
-    col_used = [0] * n
-
-    def rec(r: int, c: int, row_used: int) -> Iterator[np.ndarray]:
-        if c == n:
-            if r == n - 1:
-                yield np.array(grid, dtype=np.int64)
-            else:
-                yield from rec(r + 1, 0, 0)
-            return
-        free = ~(row_used | col_used[c])
-        for s in range(n):
-            bit = 1 << s
-            if free & bit:
-                grid[r][c] = s
-                col_used[c] |= bit
-                yield from rec(r, c + 1, row_used | bit)
-                col_used[c] ^= bit
-
-    yield from rec(0, 0, 0)
+    squares = []
+    _fill([[-1] * n for _ in range(n)], lambda grid: squares.append(np.array(grid, dtype=np.int64)))
+    yield from squares
 
 
 def count_latin_squares_backtrack(n: int) -> int:
     """Count order-n Latin squares by exhaustive row-by-row enumeration.
 
-    Independent of the permanent-based formula; guarded to ``1 <= n <= 5``.
+    Enumerates the squares whose first row is ``0..n-1`` and multiplies by
+    ``n!``: each square is one relabelling of the symbols of exactly one of
+    them.  Independent of the permanent-based formula; guarded to
+    ``1 <= n <= 5``.
     """
     if not 1 <= n <= 5:
         raise ValueError("backtracking count is guarded to 1 <= n <= 5")
-    col_used = [0] * n
-    full = (1 << n) - 1
-
-    def rec(r: int, c: int, row_used: int) -> int:
-        if c == n:
-            if r == n - 1:
-                return 1
-            return rec(r + 1, 0, 0)
-        total = 0
-        avail = ~(row_used | col_used[c]) & full
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            col_used[c] |= bit
-            total += rec(r, c + 1, row_used | bit)
-            col_used[c] ^= bit
-        return total
-
-    return rec(0, 0, 0)
+    completions = []
+    _fill([list(range(n))] + [[-1] * n for _ in range(n - 1)], completions.append)  # None: never stops
+    return math.factorial(n) * len(completions)
 
 
 def permanent(matrix) -> int:

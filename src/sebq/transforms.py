@@ -52,11 +52,15 @@ def __getattr__(name: str):
 
 
 def _check_symbols(order: int, v: Sequence[int], what: str) -> None:
-    """Raise ``ValueError`` unless every symbol of ``v`` is an integer in ``0..order-1``."""
-    if isinstance(v, np.ndarray) and v.dtype.kind in "iu":
-        if not len(v) or 0 <= v.min() and v.max() < order:
+    """Raise ``ValueError`` unless ``v`` is a 1-D sequence of integers in ``0..order-1``."""
+    if isinstance(v, np.ndarray):
+        if v.ndim != 1:
+            raise ValueError(f"{what} must be a 1-D sequence of symbols, got shape {v.shape}")
+        if v.dtype.kind in "iu" and (not len(v) or 0 <= v.min() and v.max() < order):
             return
         v = v.tolist()
+    elif not hasattr(v, "__iter__"):
+        raise ValueError(f"{what} must be a 1-D sequence of symbols, got {type(v).__name__}")
     # one pass in Python, cheapest for the short leaders and single blocks most
     # calls check; a float would be truncated by the compiled loop
     for s in v:

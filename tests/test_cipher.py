@@ -266,3 +266,30 @@ class TestPadding:
             unpad([0, 0, 0], 4)
         with pytest.raises(PaddingError):
             unpad([], 4)
+
+
+class TestSymbolShape:
+    # _check_symbols is the one boundary check: a symbol array is 1-D
+    def test_two_dimensional_message_refused_on_either_loop(self):
+        key = keygen(4, 3)
+        for rows in (2, 16):  # 16 rows of 8 passes the compiled-loop cut
+            with pytest.raises(ValueError, match="message"):
+                encrypt(key, [1, 2], np.zeros((rows, 8), dtype=np.int64))
+            with pytest.raises(ValueError, match="ciphertext"):
+                decrypt(key, [1, 2], np.zeros((rows, 8), dtype=np.int64))
+
+    def test_two_dimensional_iv_refused(self):
+        with pytest.raises(ValueError, match="iv"):
+            encrypt(keygen(4, 3), np.array([[1, 2]]), [0] * 40)
+
+    def test_two_dimensional_blocks_refused_by_pack_bits(self):
+        with pytest.raises(ValueError, match="block"):
+            pack_bits(np.array([[1, 2], [3, 4]]), 4)
+
+    def test_scalar_refused(self):
+        key = keygen(4, 3)
+        for scalar in (np.array(5), 5):
+            with pytest.raises(ValueError, match="message"):
+                encrypt(key, [1], scalar)
+        with pytest.raises(ValueError, match="iv"):
+            encrypt(key, np.array(1), [5])

@@ -170,6 +170,17 @@ class TestCrypt:
         assert code == 1
         assert "n=-1" in err
 
+    def test_negative_n_named_with_iv_hex(self, capsys, tmp_path, key_path):
+        src = tmp_path / "m.bin"
+        src.write_bytes(b"data")
+        code, _, err = run(
+            capsys, "encrypt", "--key", str(key_path), "--in", str(src),
+            "--out", str(tmp_path / "m.sebq"), "--n", "-1", "--iv-hex", "ab",
+        )
+        assert code == 1
+        assert "n=-1" in err
+        assert not (tmp_path / "m.sebq").exists()
+
     @pytest.mark.parametrize("a", [0, 1])
     def test_v2_expander_length_below_two_exits_3(self, capsys, tmp_path, key_path, a):
         src = tmp_path / "m.bin"

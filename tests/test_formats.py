@@ -186,6 +186,10 @@ class TestSealOpen:
                 assert decrypt(key, f.iv, ct, expander) == pad(np.unpackbits(np.frombuffer(data, np.uint8)), k)
                 assert open_bytes(key, frame) == data
 
+    def test_bad_iv_named_as_iv(self):
+        with pytest.raises(ValueError, match="^iv symbol 99 out of range"):
+            seal_bytes(keygen(4, 1), b"ab", iv=[99])
+
     def test_empty_input_still_frames(self):
         key = keygen(4, 1)
         frame = seal_bytes(key, b"", n=4, seed=2)
