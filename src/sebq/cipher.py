@@ -6,14 +6,20 @@ whole-message maps (plain, or with a leader expander per block), and the
 plumbing that connects k-bit symbols to byte streams.  The symbol layout
 (MSB first, contiguous) lives in :func:`pack_bits` and ``_unpack_blocks``
 alone, and the ``1 0*`` padding rule in ``_padded_blocks`` and
-``_unpadded_length`` alone; both work on bytes.  The chained step itself
+``_unpadded_length`` alone; both work on bytes.  With g = gcd(k, 8), a
+symbol is k/g parts of g bits and a packed byte holds 8/g parts.  For
+g > 1 one multiply spreads each byte to a little-endian word of 8/g bytes,
+a part a byte, and one multiply gathers a word back to a byte; at k = 2, 4
+and 8 the parts are the symbols.  For g = 1 the parts are bits, spread and
+gathered by ``np.unpackbits``/``np.packbits``.  The chained step itself
 lives in :mod:`sebq.transforms`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -232,18 +238,42 @@ def _bits(bits) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-# one strided column per bit: a few times faster than packbits/unpackbits along rows
+@cache
+def _word(g: int) -> tuple[np.dtype, np.unsignedinteger, np.unsignedinteger]:
+    """The word a packed byte's ``8/g`` g-bit parts spread to, a byte each; its multiplier and mask.
+
+    A packed byte times the multiplier holds copies of the byte ``8 + g``
+    bits apart, so the j-th copy has part j at bit ``8j + 8 - g``; copies
+    never overlap, so no carry crosses them.  A spread word times the same
+    value gathers its parts, most significant first, in its top byte.  The
+    mask keeps the low g bits of every byte.
+    """
+    n = 8 // g
+    word = np.dtype(f"<u{n}")
+    spread = sum(1 << j * (8 + g) for j in range(n))
+    return word, word.type(spread), word.type(((1 << g) - 1) * ((1 << 8 * n) // 255))
+
+
 def pack_bits(blocks: Sequence[int], k: int) -> bytes:
     """Pack k-bit symbols into bytes, most significant bit first, contiguous."""
     _check_k(k)
     arr = np.asarray(blocks)
     _check_symbols(1 << k, arr, "block")
     arr = arr.astype(np.uint8, copy=False)
-    cols = np.empty((arr.size, k), dtype=np.uint8)
-    for j in range(k):
-        np.right_shift(arr, k - 1 - j, out=cols[:, j])
-    cols &= 1
-    return np.packbits(cols).tobytes()
+    g = math.gcd(k, 8)
+    word, spread, _ = _word(g)
+    # a byte per part, padded to a whole word for every packed byte
+    parts = np.empty(-(-arr.size * k // 8) * word.itemsize, dtype=np.uint8)
+    cols = parts[: arr.size * k // g].reshape(-1, k // g)
+    for j in range(k // g):
+        np.right_shift(arr, k - g - g * j, out=cols[:, j])
+    cols &= (1 << g) - 1
+    if g == 1:
+        return np.packbits(cols).tobytes()
+    parts[cols.size :] = 0
+    packed = parts.view(word)
+    packed *= spread
+    return parts[word.itemsize - 1 :: word.itemsize].tobytes()
 
 
 def _unpack_blocks(data: bytes, k: int, count: int) -> np.ndarray:
@@ -254,10 +284,22 @@ def _unpack_blocks(data: bytes, k: int, count: int) -> np.ndarray:
     need = k * count
     if len(data) * 8 < need:
         raise ValueError(f"need {need} bits, have {len(data) * 8}")
-    cols = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=need).reshape(-1, k)
+    g = math.gcd(k, 8)
+    if g == 1:
+        parts = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=need)
+    else:
+        word, spread, mask = _word(g)
+        words = np.frombuffer(data, dtype=np.uint8, count=(need + 7) // 8).astype(word)
+        words *= spread
+        words >>= 8 - g
+        words &= mask
+        parts = words.view(np.uint8)
+    cols = parts[: need // g].reshape(-1, k // g)
+    if k == g:
+        return cols[:, 0]
     out = cols[:, 0].copy()
-    for j in range(1, k):
-        out <<= 1
+    for j in range(1, k // g):
+        out <<= g
         out |= cols[:, j]
     return out
 

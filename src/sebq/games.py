@@ -19,7 +19,7 @@ import numpy as np
 
 from sebq import feistel
 from sebq.cipher import SebqKey, decrypt, encrypt, keygen
-from sebq.latin import SeedLike, _fill, _first_repeat, as_rng
+from sebq.latin import SeedLike, _as_int_array, _fill, _first_repeat, as_rng
 
 __all__ = [
     "QueryRestrictionError",
@@ -507,7 +507,7 @@ class PartialLatinSquare:
     cells: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.cells, dtype=np.int64)
+        arr = _as_int_array(self.cells)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ValueError(f"cells must be square, got shape {arr.shape}")
         n = arr.shape[0]

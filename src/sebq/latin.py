@@ -66,22 +66,29 @@ def as_rng(seed: SeedLike = None) -> random.Random:
     return random.Random(seed)
 
 
-def _as_square_array(table) -> np.ndarray:
-    """Coerce to an int array and enforce the structural preconditions."""
+def _as_int_array(table) -> np.ndarray:
+    """Coerce to an ``int64`` array, refusing a ragged table or a non-integer entry.
+
+    An ``int64`` array comes back as it is, not copied.
+    """
     try:
         arr = np.asarray(table)
     except ValueError as exc:  # ragged nested sequence
         raise StructureError(f"table is not rectangular: {exc}") from None
     if np.issubdtype(arr.dtype, np.integer) or arr.dtype == bool:
-        arr = arr.astype(np.int64)
-    else:
-        try:
-            cast = arr.astype(np.int64)
-        except (TypeError, ValueError):
-            raise StructureError("table entries must be integers") from None
-        if not np.array_equal(cast, arr.astype(object)):
-            raise StructureError("table entries must be integers")
-        arr = cast
+        return arr.astype(np.int64, copy=False)
+    try:
+        cast = arr.astype(np.int64)
+    except (TypeError, ValueError):
+        raise StructureError("table entries must be integers") from None
+    if not np.array_equal(cast, arr.astype(object)):
+        raise StructureError("table entries must be integers")
+    return cast
+
+
+def _as_square_array(table) -> np.ndarray:
+    """Coerce to an int array and enforce the structural preconditions."""
+    arr = _as_int_array(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise StructureError(f"table must be square and non-empty, got shape {arr.shape}")
     n = arr.shape[0]
@@ -152,14 +159,15 @@ class LatinSquare:
     table: np.ndarray
 
     def __post_init__(self):
-        arr = _as_square_array(self.table)
+        # coerced once: the scan takes the frozen int64 copy as it is
+        arr = _as_int_array(self.table).copy()
+        arr.setflags(write=False)
         violation = validate_latin_square(arr)
         if violation is not None:
             raise ValueError(
                 f"not a Latin square: symbol {violation.symbol} repeats in "
                 f"{violation.axis} {violation.index}"
             )
-        arr.setflags(write=False)
         object.__setattr__(self, "table", arr)
 
     @property

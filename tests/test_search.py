@@ -88,3 +88,16 @@ class TestPartialRepeats:
         # column 0 repeats 0 and row 1 repeats 1: rows are scanned first
         with pytest.raises(ValueError, match="row 1"):
             PartialLatinSquare(np.array([[0, -1, -1], [0, 1, 1], [-1, -1, -1]]))
+
+    @pytest.mark.parametrize(
+        "cells",
+        [[[0.5, -1], [-1, 1.9]], [[-1.5, -1], [-1, 1]], np.array([[0.0, -1.0], [-1.0, 0.25]])],
+    )
+    def test_non_integer_cells_refused(self, cells):
+        # LatinSquare refuses the same entries; a cast would truncate them
+        with pytest.raises(ValueError, match="table entries must be integers"):
+            PartialLatinSquare(cells)
+
+    def test_integral_float_cells_accepted(self):
+        cells = PartialLatinSquare([[0.0, -1.0], [-1.0, 0.0]]).cells
+        assert cells.dtype == np.int64 and cells.tolist() == [[0, -1], [-1, 0]]
