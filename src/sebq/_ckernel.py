@@ -9,10 +9,10 @@ entry points, each taking the direction as ``inverse``.  ``sebq_chain`` is
 its expander: sponge, fold and seed fold-back for every block of a message
 in one call.  ``sebq_walk`` is the Latin-square random walk of
 :func:`sebq.latin.random_latin_square` over ``int64`` arrays and the
-walk's draw buffers.  It stops when a defect move needs 3 bits and fewer
-remain; Python then draws the next bits buffer from the same generator,
-as the Python walk does, and resumes it, so a seed gives the same key on
-either side.  The source is compiled once with ``cc`` into
+walk's cells and adds buffers, in one call per square.  It draws its bits
+itself, from the walk's own PCG64 generator through numpy's ``ctypes``
+interface, exactly as the Python walk draws them, so a seed gives the
+same key on either side.  The source is compiled once with ``cc`` into
 ``$XDG_CACHE_HOME/sebq/`` (default ``~/.cache/sebq/``), under a name made
 from the SHA-256 of the source, the flags and the platform.  Without a
 compiler or a writable cache :func:`load` returns ``None`` and the Python
@@ -113,27 +113,24 @@ void sebq_cca2(const uint8_t *mul, const uint8_t *tab, int k,
 
 /* the random walk of sebq.latin.random_latin_square on row-major n x n
    arrays: L, col_of[r][s] (column of s in row r) and row_of[c][s] (row of
-   s in column c).  st is (done, ci, ai, bi, r, c, extra, neg, cA, cB, rA,
-   rB): proper landings so far, the indices into cells, adds and bits, and
-   the improper cell, with r = -1 while the square is proper.  Returns 0
-   when the walk is over, 1 when a defect move needs 3 bits and fewer
-   remain (the caller draws fresh bits, sets bi = 0 and calls again), and
-   -1 when cells or adds would run dry or an index is negative. */
+   s in column c).  Each defect move draws 3 bits from the walk's generator
+   (next_uint32 on gen), each the top bit of one 32-bit output, as
+   Generator.integers(0, 2) makes it.  They are counted in buffers of nbits
+   as the Python walk draws them: a defect move that finds fewer than 3
+   left in the buffer draws and drops them first.  Returns 0 when the walk
+   is over and -1 when cells or adds would run dry. */
 int sebq_walk(int64_t *L, int64_t *col_of, int64_t *row_of, int64_t n, int64_t steps,
               const int64_t *cells, int64_t ncells, const int64_t *adds, int64_t nadds,
-              const int64_t *bits, int64_t nbits, int64_t *st)
+              uint32_t (*next_uint32)(void *), void *gen, int64_t nbits)
 {
-    int64_t done = st[0], ci = st[1], ai = st[2], bi = st[3], *imp = st + 4;
-    int rc = 0;
-    if (ci < 0 || ai < 0 || bi < 0)
-        return -1;
+    int64_t done = 0, ci = 0, ai = 0, left = 0;
+    /* the improper cell (r, c, extra, neg, cA, cB, rA, rB), r = -1 while proper */
+    int64_t imp[8] = {-1};
     while (done < steps || imp[0] >= 0) {
         int64_t r, c, add, rem, r2, c2;
         if (imp[0] < 0) {
-            if (ci > ncells - 2 || ai >= nadds) {
-                rc = -1;
-                break;
-            }
+            if (ci > ncells - 2 || ai >= nadds)
+                return -1;
             r = cells[ci];
             c = cells[ci + 1];
             ci += 2;
@@ -147,21 +144,26 @@ int sebq_walk(int64_t *L, int64_t *col_of, int64_t *row_of, int64_t n, int64_t s
             col_of[r * n + add] = c;
             row_of[c * n + add] = r;
         } else {
-            if (bi > nbits - 3) {
-                rc = 1;
-                break;
+            if (left < 3) {
+                for (; left > 0; left--)
+                    next_uint32(gen);
+                left = nbits;
             }
+            left -= 3;
+            /* three statements, so the bits are drawn in this order */
+            int b0 = next_uint32(gen) >> 31;
+            int b1 = next_uint32(gen) >> 31;
+            int b2 = next_uint32(gen) >> 31;
             r = imp[0];
             c = imp[1];
             add = imp[3];
-            int64_t stored = L[r * n + c], other = bits[bi] ? stored : imp[2];
-            rem = bits[bi] ? imp[2] : stored;
+            int64_t stored = L[r * n + c], other = b0 ? stored : imp[2];
+            rem = b0 ? imp[2] : stored;
             /* the unchosen duplicate of add is the one that stays in place */
-            int64_t c_keep = bits[bi + 1] ? imp[5] : imp[4];
-            int64_t r_keep = bits[bi + 2] ? imp[7] : imp[6];
-            c2 = bits[bi + 1] ? imp[4] : imp[5];
-            r2 = bits[bi + 2] ? imp[6] : imp[7];
-            bi += 3;
+            int64_t c_keep = b1 ? imp[5] : imp[4];
+            int64_t r_keep = b2 ? imp[7] : imp[6];
+            c2 = b1 ? imp[4] : imp[5];
+            r2 = b2 ? imp[6] : imp[7];
             L[r * n + c] = other;
             col_of[r * n + other] = c;
             row_of[c * n + other] = r;
@@ -193,11 +195,7 @@ int sebq_walk(int64_t *L, int64_t *col_of, int64_t *row_of, int64_t n, int64_t s
             imp[7] = old_row;
         }
     }
-    st[0] = done;
-    st[1] = ci;
-    st[2] = ai;
-    st[3] = bi;
-    return rc;
+    return 0;
 }
 """
 
@@ -207,9 +205,8 @@ _P, _N, _I64 = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int64
 _EXPORTS = (
     ("sebq_chain", [_P, ctypes.c_int, _P, _N, _P, _P, _N, ctypes.c_int], None),
     ("sebq_cca2", [_P, _P, ctypes.c_int, _P, _N, _P, _N, _P, _P, _N, _P, _P, _N, ctypes.c_int], None),
-    ("sebq_walk", [_P, _P, _P, _I64, _I64, _P, _I64, _P, _I64, _P, _I64, _P], ctypes.c_int),
+    ("sebq_walk", [_P, _P, _P, _I64, _I64, _P, _I64, _P, _I64, _P, _P, _I64], ctypes.c_int),
 )
-WALK_STATE = 12  # done, the cells/adds/bits indices, the 8-field improper cell
 
 
 def _check_table(table: np.ndarray, k: int) -> None:
@@ -275,33 +272,30 @@ class Kernel:
                    blocks.ctypes.data, out.ctypes.data, blocks.size, inverse)
         return out
 
-    def walk(self, L, col_of, row_of, steps: int, cells, adds, bits, state) -> bool:
-        """Run the Latin-square walk in place; True when it stopped for fresh bits.
+    def walk(self, L, col_of, row_of, steps: int, cells, adds, nbits: int, gen) -> None:
+        """Run the Latin-square walk in place, drawing its bits from ``gen``.
 
         ``L``, ``col_of`` and ``row_of`` are the ``n x n`` arrays of
-        :func:`sebq.latin.random_latin_square`, ``cells``, ``adds`` and
-        ``bits`` its draw buffers, and ``state`` the walk state
-        ``(done, ci, ai, bi, r, c, extra, neg, cA, cB, rA, rB)`` with
-        ``r = -1`` while the square is proper; all are contiguous ``int64``
-        arrays, and the grids and ``state`` are updated in place.  On True
-        fewer than 3 bits are left for the next defect move: the caller
-        hands in a fresh ``bits`` with ``state[3] = 0`` and calls again.
-        Every entry of the grids and buffers must be below ``n``: the
-        caller draws them so.
+        :func:`sebq.latin.random_latin_square` and ``cells`` and ``adds`` its
+        draw buffers, all contiguous ``int64`` arrays; the grids are updated
+        in place.  ``gen`` is the walk's ``numpy.random.Generator``: each
+        defect move draws 3 bits from its bit generator, the bits
+        ``gen.integers(0, 2, size=nbits)`` would give, a buffer at a time.
+        Nothing else may draw from ``gen`` during the call.  Every entry of
+        the grids and buffers must be below ``n``: the caller draws them so.
         """
         n = L.shape[0]
         if any(g.dtype != np.int64 or g.shape != (n, n) or not g.flags.c_contiguous
                for g in (L, col_of, row_of)):
             raise ValueError(f"walk grids must be contiguous int64 arrays of shape ({n}, {n})")
-        if any(b.dtype != np.int64 or b.ndim != 1 or not b.flags.c_contiguous
-               for b in (cells, adds, bits, state)) or state.size != WALK_STATE:
-            raise ValueError(f"walk buffers must be contiguous 1-D int64 arrays, state of size {WALK_STATE}")
+        if any(b.dtype != np.int64 or b.ndim != 1 or not b.flags.c_contiguous for b in (cells, adds)):
+            raise ValueError("walk buffers must be contiguous 1-D int64 arrays")
+        bitgen = gen.bit_generator.ctypes
         rc = self._walk(L.ctypes.data, col_of.ctypes.data, row_of.ctypes.data, n, steps,
                         cells.ctypes.data, cells.size, adds.ctypes.data, adds.size,
-                        bits.ctypes.data, bits.size, state.ctypes.data)
+                        bitgen.next_uint32, bitgen.state_address, nbits)
         if rc < 0:
             raise RuntimeError("internal error: the Latin-square walk would read outside its cells or adds")
-        return rc == 1
 
 
 def _cache_dir() -> str:

@@ -16,7 +16,6 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from sebq._ckernel import WALK_STATE
 from sebq._ckernel import kernel as _kernel
 
 __all__ = [
@@ -283,11 +282,11 @@ def random_latin_square(order: int, seed: SeedLike = None) -> LatinSquare:
 
     The walk runs in C (``sebq_walk`` in :mod:`sebq._ckernel`) when the
     compiled kernel loads, else in :func:`_walk_python`, the reference.
-    Both read the same three buffers of 8192 draws (cells, adds, bits)
-    from one PCG64 generator.  Only the bits buffer can run dry: the C walk
-    then returns, Python draws the next 8192 bits from the generator as the
-    Python walk does, and the C walk resumes.  So a seed gives the same
-    square on either side.
+    Both read the same two buffers of 8192 draws (cells, adds) from one
+    PCG64 generator, then draw their defect-move bits from it in buffers
+    of 8192, each bit the top bit of one 32-bit output.  The C walk draws
+    them itself in its one call, so a seed gives the same square on either
+    side.
 
     Parameters
     ----------
@@ -331,32 +330,30 @@ def random_latin_square(order: int, seed: SeedLike = None) -> LatinSquare:
     gen = np.random.Generator(np.random.PCG64(rng.getrandbits(128)))
     cells = gen.integers(0, n, size=_BUF)
     adds = gen.integers(0, n - 1, size=_BUF)
-    bits = gen.integers(0, 2, size=_BUF)
 
     kernel = _kernel()
     if kernel is None:
-        return LatinSquare(_walk_python(L, col_of, row_of, steps, gen, cells, adds, bits))
-    state = np.zeros(WALK_STATE, dtype=np.int64)
-    state[4] = -1  # no improper cell
-    while kernel.walk(L, col_of, row_of, steps, cells, adds, bits, state):
-        bits = gen.integers(0, 2, size=_BUF)
-        state[3] = 0
+        return LatinSquare(_walk_python(L, col_of, row_of, steps, gen, cells, adds))
+    # gen is this call's own, so no other thread draws from it while the C
+    # walk does with the GIL released
+    kernel.walk(L, col_of, row_of, steps, cells, adds, _BUF, gen)
     return LatinSquare(L)
 
 
-def _walk_python(L, col_of, row_of, steps, gen, cells, adds, bits) -> np.ndarray:
+def _walk_python(L, col_of, row_of, steps, gen, cells, adds) -> np.ndarray:
     """The walk of :func:`random_latin_square` in Python: the reference.
 
-    Takes the start square, its inverse maps and the three draw buffers as
-    ``int64`` arrays and returns the walked square; refills ``bits`` from
-    ``gen`` when a defect move finds fewer than 3 left.
+    Takes the start square, its inverse maps and the cells and adds
+    buffers as ``int64`` arrays and returns the walked square.  A defect
+    move draws a fresh bits buffer from ``gen`` when fewer than 3 bits are
+    left, the first one included; the left-over bits are dropped.
     """
     L = L.tolist()
     col_of = col_of.tolist()
     row_of = row_of.tolist()
     cells = cells.tolist()
     adds = adds.tolist()
-    bits = bits.tolist()
+    bits = []
     ci = ai = bi = 0
 
     # improper = (r, c, extra, neg, cA, cB, rA, rB): cell (r, c) holds the

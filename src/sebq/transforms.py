@@ -13,7 +13,7 @@ The same step compiled from C (:mod:`sebq._ckernel`) carries long runs when
 a C compiler is at hand: ``sebq_chain`` plain runs, and ``sebq_cca2`` those
 whose expander is the key's own :class:`sebq.feistel.QuasigroupSponge`,
 each in the direction it is given.  The same library runs the key walk of
-:func:`sebq.latin.random_latin_square`, resumed at each refill of its bits.
+:func:`sebq.latin.random_latin_square`, one call per square.
 :data:`BACKEND` names what loaded, ``"c"`` or ``"python"``, for both.  The
 Python loops stay the reference.
 """

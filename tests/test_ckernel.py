@@ -235,58 +235,62 @@ def test_walk_squares_match_python_walk(python_walk):
 
 
 @compiled
-def test_order_256_walk_resumes_on_each_bit_refill(python_walk, monkeypatch):
-    calls = []
+def test_order_256_walk_is_one_kernel_call(python_walk, monkeypatch):
+    calls, draws = [], []
     walk = _ckernel.Kernel.walk
 
     def counting_walk(self, *args):
-        calls.append(args[6].size)
+        calls.append(args[6])
         return walk(self, *args)
 
+    class CountingGenerator(np.random.Generator):
+        def integers(self, low, high, size):
+            draws.append((low, high, size))
+            return super().integers(low, high, size=size)
+
     monkeypatch.setattr(_ckernel.Kernel, "walk", counting_walk)
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
     square = latin.random_latin_square(256, 4)
-    assert len(calls) >= 101 and set(calls) == {8192}
+    # one call, and Python draws only the cells and adds: the C walk draws its own bits
+    assert calls == [latin._BUF]
+    assert draws == [(0, 256, latin._BUF), (0, 255, latin._BUF)]
     python_walk()
     assert latin.random_latin_square(256, 4) == square
 
 
-def walk_arrays(n, ncells=8192, nadds=8192, nbits=8192):
+@pytest.mark.parametrize("seed", [0, 1, 77, 2408])
+def test_bit_draws_are_top_bits_of_next_uint32(seed):
+    """The C walk's bit rule: ``integers(0, 2)`` is the top bit of one ``next_uint32``."""
+    gen, twin = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    for g in (gen, twin):  # like the walk's cells and adds, odd sizes leave a half word
+        g.integers(0, 256, size=8191)
+        g.integers(0, 5, size=3)
+    want = np.concatenate([gen.integers(0, 2, size=8192), gen.integers(0, 2, size=777)])
+    bitgen = twin.bit_generator.ctypes
+    assert [bitgen.next_uint32(bitgen.state) >> 31 for _ in range(want.size)] == want.tolist()
+    assert gen.bit_generator.state == twin.bit_generator.state
+
+
+def walk_arrays(n, ncells=8192, nadds=8192):
     L = (np.arange(n)[:, None] + np.arange(n)) % n
     col_of = np.argsort(L, axis=1)
     row_of = np.ascontiguousarray(np.argsort(L, axis=0).T)
     gen = np.random.default_rng(3)
-    state = np.zeros(_ckernel.WALK_STATE, dtype=np.int64)
-    state[4] = -1
-    return (L, col_of, row_of, 256, gen.integers(0, n, ncells), gen.integers(0, n - 1, nadds),
-            gen.integers(0, 2, nbits), state)
+    return L, col_of, row_of, 256, gen.integers(0, n, ncells), gen.integers(0, n - 1, nadds), 8192, gen
 
 
 @compiled
 @pytest.mark.parametrize("ncells, nadds", [(511, 8192), (8192, 255), (0, 0)])
 def test_walk_refuses_to_read_past_cells_or_adds(ncells, nadds):
-    args = walk_arrays(8, ncells, nadds)
     with pytest.raises(RuntimeError, match="internal error"):
-        while transforms._kernel().walk(*args):
-            args = (*args[:6], np.random.default_rng(5).integers(0, 2, 8192), args[7])
-            args[7][3] = 0
-    # it stopped before the move it could not read, its indices inside the buffers
-    assert args[7][1] <= ncells and args[7][2] <= nadds
-
-
-@compiled
-def test_walk_stops_for_bits_before_reading_past_them():
-    args = walk_arrays(8, nbits=2)
-    assert transforms._kernel().walk(*args)
-    # stopped at the first defect move, with no bit read
-    state = args[7]
-    assert state[0] < 256 and state[4] >= 0 and state[3] == 0
+        transforms._kernel().walk(*walk_arrays(8, ncells, nadds))
 
 
 @compiled
 @pytest.mark.parametrize("which, bad", [(0, np.zeros((8, 8), dtype=np.int32)),
                                         (1, np.zeros((8, 7), dtype=np.int64)),
                                         (4, np.zeros((2, 8), dtype=np.int64)),
-                                        (7, np.zeros(_ckernel.WALK_STATE - 1, dtype=np.int64))])
+                                        (5, np.zeros(8192, dtype=np.float64))])
 def test_walk_refuses_misshapen_arrays(which, bad):
     args = list(walk_arrays(8))
     args[which] = bad
