@@ -14,7 +14,8 @@ itself, from the walk's own PCG64 generator through numpy's ``ctypes``
 interface, exactly as the Python walk draws them, so a seed gives the
 same key on either side.  The source is compiled once with ``cc`` into
 ``$XDG_CACHE_HOME/sebq/`` (default ``~/.cache/sebq/``), under a name made
-from the SHA-256 of the source, the flags and the platform.  Without a
+from the SHA-256 of the source, the flags and the platform; each new build
+deletes the kernels there built over 30 days before it.  Without a
 compiler or a writable cache :func:`load` returns ``None`` and the Python
 loops, which stay the reference, run instead.  :func:`kernel` is the one
 loaded copy the package shares.
@@ -22,7 +23,9 @@ loaded copy the package shares.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import glob
 import hashlib
 import os
 import platform
@@ -200,6 +203,7 @@ int sebq_walk(int64_t *L, int64_t *col_of, int64_t *row_of, int64_t n, int64_t s
 """
 
 FLAGS = ("-O2", "-shared", "-fPIC")
+PRUNE_AGE = 30 * 24 * 3600  # seconds; kernels this much older than a new build are deleted
 
 _P, _N, _I64 = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int64
 _EXPORTS = (
@@ -303,6 +307,18 @@ def _cache_dir() -> str:
     return os.path.join(base, "sebq")
 
 
+def _prune(cache: str, keep: str) -> None:
+    """Delete the kernels in ``cache`` built over :data:`PRUNE_AGE` seconds before ``keep``.
+
+    By age, not by name: a kernel another checkout built from other source
+    lives on until it is old, so two checkouts do not rebuild each other's.
+    """
+    for old in glob.glob(os.path.join(glob.escape(cache), "chain-*.so")):
+        with contextlib.suppress(OSError):
+            if old != keep and os.path.getmtime(old) < os.path.getmtime(keep) - PRUNE_AGE:
+                os.remove(old)
+
+
 def load(*, _cc: str = "cc", _cache: str | None = None) -> Kernel | None:
     """The compiled kernel, built on first use; ``None`` if it cannot be had.
 
@@ -323,6 +339,7 @@ def load(*, _cc: str = "cc", _cache: str | None = None) -> Kernel | None:
             finally:
                 if os.path.exists(tmp):
                     os.remove(tmp)
+            _prune(cache, path)
         return Kernel(ctypes.CDLL(path))
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None

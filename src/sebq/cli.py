@@ -215,6 +215,10 @@ def cmd_attack_cca_recover(args) -> int:
         return _fail(EXIT_USAGE, "--trials must be at least 2")
     rng = as_rng(args.seed)
     factory = games.make_scheme_factory(args.scheme, args.k, 1, a=args.a)
+    # the cap sebq encrypt applies, checked before a sponge builds its squeeze string
+    cap = formats.MAX_LOOKUPS_PER_BLOCK
+    if args.a is not None and formats.lookups_per_block(1, args.a) > cap:
+        return _fail(EXIT_USAGE, f"--a {args.a} costs over the cap of {cap} lookups per block")
 
     scheme = factory(rng)
     session = games.OracleSession(scheme, rng, bit=rng.randrange(2), decryption=True)

@@ -121,17 +121,35 @@ def validate_latin_square(table) -> Optional[LatinViolation]:
     return _first_repeat(_as_square_array(table))
 
 
+def _positions(arr: np.ndarray) -> np.ndarray:
+    """Where each symbol sits in each row: the one scatter behind every such question.
+
+    ``arr`` is an ``(m, n)`` ``int64`` array of symbols in ``-1..n-1``.
+    ``out[i, s]`` is the column of ``s`` in row ``i``, or ``-1`` where row
+    ``i`` lacks ``s``; a ``-1`` cell lands in a spare column that is then
+    dropped.  Where a row repeats a symbol, one of its columns stands, so
+    the row shows fewer symbols than it has known cells.  On a Latin square
+    each row of ``out`` is the inverse permutation of its row of ``arr``:
+    the left-division table.  The result is a view that drops the spare
+    column, so it is not contiguous.
+    """
+    m, n = arr.shape
+    out = np.full((m, n + 1), -1, dtype=np.int64)
+    out[np.arange(m)[:, None], arr] = np.arange(n)
+    return out[:, :n]
+
+
 def _first_repeat(arr: np.ndarray) -> Optional[LatinViolation]:
     """The first row, else the first column, where a known symbol repeats.
 
     ``arr`` is a square ``int64`` array of symbols in ``-1..n-1``; cells of
-    ``-1`` are unknown.  The symbol reported is the first seen twice.
+    ``-1`` are unknown.  A line repeats a symbol when :func:`_positions`
+    finds fewer symbols in it than it has known cells; the symbol reported
+    is the first seen twice on the first such line.
     """
     for axis, lines in (("row", arr), ("column", arr.T)):
-        ordered = np.sort(lines, axis=1)  # copies of a symbol side by side, -1 cells first
-        repeats = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)
-        del ordered  # freed before the column pass sorts its own copy
-        bad = np.flatnonzero(repeats.any(axis=1))
+        short = (_positions(lines) >= 0).sum(axis=1) < (lines >= 0).sum(axis=1)
+        bad = np.flatnonzero(short)
         if bad.size:
             i = int(bad[0])
             seen = set()
@@ -213,9 +231,8 @@ class Quasigroup:
     def __post_init__(self):
         if self.mul.order != self.ldiv.order:
             raise ValueError("mul and ldiv tables have different orders")
-        n = self.mul.order
-        composed = np.take_along_axis(self.ldiv.table, self.mul.table, axis=1)
-        if not np.array_equal(composed, np.tile(np.arange(n), (n, 1))):
+        # mul is Latin, so ldiv[x][mul[x][y]] = y for all x, y holds only for its scatter
+        if not np.array_equal(self.ldiv.table, _positions(self.mul.table)):
             raise ValueError("ldiv is not the left-division table of mul")
 
     @classmethod
@@ -223,7 +240,7 @@ class Quasigroup:
         # each row's inverse permutation; once `square` is Latin, the pair
         # check in __post_init__ proves this table Latin without a scan
         ldiv = object.__new__(LatinSquare)
-        table = np.argsort(square.table, axis=1)
+        table = _positions(square.table)
         table.setflags(write=False)
         object.__setattr__(ldiv, "table", table)
         return cls(square, ldiv)
@@ -312,12 +329,10 @@ def random_latin_square(order: int, seed: SeedLike = None) -> LatinSquare:
     rng.shuffle(rows)
     rng.shuffle(cols)
     rng.shuffle(syms)
-    idx = np.arange(n)
     L = np.array(syms, dtype=np.int64)[np.add.outer(np.array(rows), np.array(cols)) % n]
-    col_of = np.empty_like(L)  # col_of[r][s] = column of s in row r
-    col_of[idx[:, None], L] = idx
-    row_of = np.empty_like(L)  # row_of[c][s] = row of s in column c
-    row_of[idx, L] = idx[:, None]
+    # the walk updates both maps in place, and the C walk takes contiguous arrays
+    col_of = np.ascontiguousarray(_positions(L))  # col_of[r][s] = column of s in row r
+    row_of = np.ascontiguousarray(_positions(L.T))  # row_of[c][s] = row of s in column c
 
     # Walk length counts proper landings only; defect excursions in between
     # are free moves.  The n=4 budget is validated against the uniformity
@@ -434,7 +449,7 @@ def intercalate_swap(square: LatinSquare, seed: SeedLike = None) -> LatinSquare:
     rng = as_rng(seed)
     T = square.table
     n = square.order
-    inverses = np.argsort(T, axis=1)  # column of each symbol per row
+    inverses = _positions(T)  # column of each symbol per row
 
     # 20*n*n random probes, then every (r1, r2 != r1, c1); drawn lazily
     draws = ((rng.randrange(n), rng.randrange(n - 1), rng.randrange(n)) for _ in range(20 * n * n))

@@ -9,6 +9,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -83,6 +84,28 @@ def test_loader_builds_into_cache(tmp_path):
     assert len(built) == 1 and built[0].startswith("chain-") and built[0].endswith(".so")
     # a second load reuses the file, so it needs no compiler
     assert _ckernel.load(_cc=str(tmp_path / "no-such-cc"), _cache=str(tmp_path)) is not None
+
+
+@compiled
+def test_build_prunes_old_kernels_by_age(tmp_path):
+    stale = tmp_path / "chain-0000000000000000.so"
+    young = tmp_path / "chain-1111111111111111.so"
+    other = tmp_path / "notes.so"
+    for path in (stale, young, other):
+        path.write_bytes(b"")
+    old = time.time() - _ckernel.PRUNE_AGE - 60
+    for path in (stale, other):
+        os.utime(path, (old, old))
+    assert _ckernel.load(_cache=str(tmp_path)) is not None
+    built = [p for p in tmp_path.glob("chain-*.so") if p not in (stale, young)]
+    assert len(built) == 1
+    assert not stale.exists() and young.exists() and other.exists()
+    # a plain load deletes nothing, whatever its age, the loaded kernel included
+    stale.write_bytes(b"")
+    os.utime(stale, (old, old))
+    os.utime(built[0], (old, old))
+    assert _ckernel.load(_cc=str(tmp_path / "no-such-cc"), _cache=str(tmp_path)) is not None
+    assert stale.exists() and built[0].exists()
 
 
 class PythonLoopSponge(QuasigroupSponge):

@@ -425,6 +425,17 @@ class TestSchemeAndKeyInput:
         assert out == ""
         assert err.startswith("error:") and "a=5" in err
 
+    def test_cca_recover_a_over_cap_exits_1(self, capsys):
+        # a=2048 is the first a whose cca2 block at n=1 costs over 4096 lookups;
+        # refused before any squeeze string is built
+        code, out, err = run(
+            capsys, "attack", "cca-recover", "--k", "2", "--scheme", "cca2", "--a", "2048",
+            "--trials", "2", "--seed", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --a 2048") and len(err.splitlines()) == 1
+
     def test_key_avalanche_without_swaps_exits_1(self, capsys):
         code, out, err = run(
             capsys, "analyze", "avalanche", "--target", "key", "--positions", "0",

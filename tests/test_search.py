@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from sebq.games import PartialLatinSquare, complete_latin_square
-from sebq.latin import LatinViolation, enumerate_latin_squares, random_latin_square, validate_latin_square
+from sebq.latin import (
+    LatinViolation,
+    Quasigroup,
+    enumerate_latin_squares,
+    random_latin_square,
+    validate_latin_square,
+)
 
 
 def reference_violation(table):
@@ -69,6 +75,45 @@ def test_validation_matches_reference_scan():
         for _ in range(rng.randint(0, 3)):
             table[rng.randrange(n), rng.randrange(n)] = rng.randrange(n)
         assert validate_latin_square(table) == reference_violation(table)
+
+
+def reference_partial_repeat(cells):
+    """(axis, index) of the first line repeating a known symbol, skipping ``-1``; else None."""
+    for axis, lines in (("row", cells), ("column", cells.T)):
+        for i, line in enumerate(lines.tolist()):
+            known = [s for s in line if s >= 0]
+            if len(set(known)) < len(known):
+                return axis, i
+    return None
+
+
+def test_partial_verdicts_match_reference_scan():
+    rng = random.Random(16)
+    verdicts = set()
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        if rng.random() < 0.5:
+            cells = random_latin_square(n, rng.randrange(2**32)).table.copy()
+            for _ in range(rng.randint(0, 3)):
+                cells[rng.randrange(n), rng.randrange(n)] = rng.randrange(n)
+        else:
+            cells = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+        cells[np.array([[rng.random() < 0.6 for _ in range(n)] for _ in range(n)])] = -1
+        want = reference_partial_repeat(cells)
+        verdicts.add(want and want[0])
+        if want is None:
+            assert np.array_equal(PartialLatinSquare(cells).cells, cells)
+        else:
+            with pytest.raises(ValueError, match=f"in {want[0]} {want[1]}$"):
+                PartialLatinSquare(cells)
+    assert verdicts == {None, "row", "column"}
+
+
+@pytest.mark.parametrize("n", [*range(1, 21), 256])
+def test_ldiv_is_the_row_argsort(n):
+    for seed in range(3):
+        square = random_latin_square(n, 1000 * n + seed)
+        assert np.array_equal(Quasigroup.from_square(square).ldiv.table, np.argsort(square.table, axis=1))
 
 
 class TestPartialRepeats:
