@@ -1,4 +1,4 @@
-"""The chained step and the key walk compiled from C, loaded with :mod:`ctypes`.
+"""The chained step, the key walk and the key-file parse compiled from C, loaded with :mod:`ctypes`.
 
 The chained step below is written once per direction and run by two
 entry points, each taking the direction as ``inverse``.  ``sebq_chain`` is
@@ -12,12 +12,17 @@ in one call.  ``sebq_walk`` is the Latin-square random walk of
 walk's cells and adds buffers, in one call per square.  It draws its bits
 itself, from the walk's own PCG64 generator through numpy's ``ctypes``
 interface, exactly as the Python walk draws them, so a seed gives the
-same key on either side.  The source is compiled once with ``cc`` into
-``$XDG_CACHE_HOME/sebq/`` (default ``~/.cache/sebq/``), under a name made
-from the SHA-256 of the source, the flags and the platform; each new build
-deletes the kernels there built over 30 days before it.  Without a
-compiler or a writable cache :func:`load` returns ``None`` and the Python
-loops, which stay the reference, run instead.  :func:`kernel` is the one
+same key on either side.  ``sebq_parse_table`` reads the table body of a
+key file written exactly as :func:`sebq.formats.key_to_text` writes it
+into an ``int64`` array in one pass, and refuses any other text without
+reading past it; :func:`sebq.formats.key_from_text` then runs its
+reference parse instead, which alone refuses key files.  The source is
+compiled once with ``cc`` into ``$XDG_CACHE_HOME/sebq/`` (default
+``~/.cache/sebq/``), under a name made from the SHA-256 of the source, the
+flags and the platform; each new build deletes the kernels there built
+over 30 days before it.  Without a compiler or a writable cache
+:func:`load` returns ``None`` and the Python loops and parse, which stay
+the reference, run instead.  :func:`kernel` is the one
 loaded copy the package shares.
 """
 
@@ -200,6 +205,30 @@ int sebq_walk(int64_t *L, int64_t *col_of, int64_t *row_of, int64_t n, int64_t s
     }
     return 0;
 }
+
+/* the table body of a key file as formats.key_to_text writes it: n rows of
+   n decimal symbols below n with no leading zeros, one space between
+   symbols and '\n' after each row, and nothing after the last.  Writes the
+   symbols row-major to out (n x n) and returns 0, or returns -1 at the
+   first byte that does not fit, leaving out partly written.  Reads no byte
+   at or past buf + len. */
+int sebq_parse_table(const char *buf, size_t len, int64_t n, int64_t *out)
+{
+    const char *p = buf, *end = buf + len;
+    for (int64_t r = 0; r < n; r++)
+        for (int64_t c = 0; c < n; c++) {
+            if (p == end || *p < '0' || *p > '9')
+                return -1;
+            int64_t v = *p++ - '0';
+            /* a leading 0 is the whole symbol; stopping once v >= n keeps v small */
+            while (v && v < n && p != end && *p >= '0' && *p <= '9')
+                v = v * 10 + (*p++ - '0');
+            if (v >= n || p == end || *p++ != (c < n - 1 ? ' ' : '\n'))
+                return -1;
+            *out++ = v;
+        }
+    return p == end ? 0 : -1;
+}
 """
 
 FLAGS = ("-O2", "-shared", "-fPIC")
@@ -210,6 +239,7 @@ _EXPORTS = (
     ("sebq_chain", [_P, ctypes.c_int, _P, _N, _P, _P, _N, ctypes.c_int], None),
     ("sebq_cca2", [_P, _P, ctypes.c_int, _P, _N, _P, _N, _P, _P, _N, _P, _P, _N, ctypes.c_int], None),
     ("sebq_walk", [_P, _P, _P, _I64, _I64, _P, _I64, _P, _I64, _P, _P, _I64], ctypes.c_int),
+    ("sebq_parse_table", [ctypes.c_char_p, _N, _I64, _P], ctypes.c_int),
 )
 
 
@@ -220,7 +250,7 @@ def _check_table(table: np.ndarray, k: int) -> None:
 
 
 class Kernel:
-    """The compiled loops of one loaded library: plain and cca2, each way, and the key walk."""
+    """The compiled loops of one loaded library: plain and cca2, each way, the key walk and the key-file parse."""
 
     def __init__(self, lib: ctypes.CDLL):
         fns = []
@@ -228,7 +258,7 @@ class Kernel:
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = argtypes, restype
             fns.append(fn)
-        self._chain, self._cca2, self._walk = fns
+        self._chain, self._cca2, self._walk, self._parse = fns
 
     def run(self, table: np.ndarray, k: int, state, blocks, inverse: bool = False):
         """``(blocks_out, final_state)`` as ``uint8`` arrays, like the Python loops.
@@ -300,6 +330,24 @@ class Kernel:
                         bitgen.next_uint32, bitgen.state_address, nbits)
         if rc < 0:
             raise RuntimeError("internal error: the Latin-square walk would read outside its cells or adds")
+
+    def parse_table(self, body: bytes, order: int) -> np.ndarray | None:
+        """The ``order x order`` ``int64`` table a canonical key-file body holds, else ``None``.
+
+        ``body`` is the text after the order line.  Canonical is the text
+        :func:`sebq.formats.key_to_text` writes: rows of ``order`` decimal
+        symbols below ``order`` with no leading zeros, one space between
+        symbols and ``\\n`` after each row, and nothing more.  Any other
+        ``body`` gives ``None``.  A symbol takes at least two bytes, so a
+        ``body`` too short for the table is refused before the table is
+        allocated: the allocation is bounded by ``body``, not by ``order``.
+        """
+        if order < 1 or len(body) < 2 * order * order:
+            return None
+        table = np.empty((order, order), dtype=np.int64)
+        if self._parse(body, len(body), order, table.ctypes.data) < 0:
+            return None
+        return table
 
 
 def _cache_dir() -> str:

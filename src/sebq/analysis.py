@@ -33,6 +33,7 @@ __all__ = [
     "approximate_entropy_test",
     "randomness_suite",
     "encrypt_bit_sequence",
+    "MAX_MESSAGE_BITS",
     "ciphertext_suite_experiment",
     "aggregate_pass_rates",
     "AvalancheReport",
@@ -254,6 +255,10 @@ def randomness_suite(bits, alpha: float = 0.01) -> list[TestReport]:
 
 # -- ciphertext experiments ----------------------------------------------------
 
+# the longest experiment plaintext, 2 MiB of bits: a message is drawn as a
+# list of one Python int per bit, some 8 bytes a bit before the array is made
+MAX_MESSAGE_BITS = 1 << 24
+
 
 def encrypt_bit_sequence(key: SebqKey, iv: Sequence[int], plaintext_bits) -> np.ndarray:
     """Encrypt a k-aligned bit sequence and return the ciphertext bits."""
@@ -266,6 +271,8 @@ def encrypt_bit_sequence(key: SebqKey, iv: Sequence[int], plaintext_bits) -> np.
 
 
 def _experiment_plaintext(kind: str, nbits: int, rng) -> np.ndarray:
+    if nbits > MAX_MESSAGE_BITS:
+        raise ValueError(f"message_bits {nbits} is over the cap of {MAX_MESSAGE_BITS}")
     if kind == "random":
         return np.array([rng.randrange(2) for _ in range(nbits)], dtype=np.uint8)
     if kind == "zeros":
@@ -289,7 +296,8 @@ def ciphertext_suite_experiment(
 
     Each sequence uses a fresh random key and IV; the plaintext is random,
     all zeros, or all ones.  Defaults mirror the reference experiment:
-    order-16 key, 400-bit IV, 4000-bit messages.
+    order-16 key, 400-bit IV, 4000-bit messages.  ``message_bits`` over
+    :data:`MAX_MESSAGE_BITS` raises ``ValueError``.
     """
     rng = as_rng(seed)
     out = []
@@ -424,7 +432,8 @@ def avalanche_experiment(
     Defaults mirror the reference setup: order-16 key, 400-bit IV,
     4000-bit random plaintext, 10 experiments over 10 flip positions (for
     the key target, ``flips_per_experiment`` swaps per experiment, by
-    default one per flip position).
+    default one per flip position).  ``message_bits`` over
+    :data:`MAX_MESSAGE_BITS` raises ``ValueError``.
     """
     rng = as_rng(seed)
     rows = []

@@ -1,8 +1,18 @@
 """On-disk formats: the text key file and the binary cipher frame.
 
 Key file (ASCII): line 1 is the literal header ``SEBQ-LSQ v1``, line 2 the
-decimal order, then ``n`` lines of ``n`` space-separated decimal symbols.
-Loading rejects anything that is not a Latin square.
+decimal order ``n``, then ``n`` lines of ``n`` space-separated decimal
+symbols.  Blank lines, and whitespace around a line or between symbols,
+are allowed.  Loading rejects anything that is not a Latin square.
+:func:`key_to_text` writes the canonical form: the header, the order with
+no leading zeros, then each row as symbols below ``n`` with no leading
+zeros, one space between symbols and ``\\n`` after each row, and nothing
+more.  When the compiled kernel is loaded, a file whose first two lines
+are canonical, with an order that is a power of two up to
+``2**MAX_SYMBOL_BITS``, has its table read in one pass in C; if the rest
+is not canonical, or with no kernel, the per-row reference parse reads it,
+and only that parse refuses a file.  Both build the key the same way, so
+a file gives the same key, or the same :class:`KeyFileError`, on either.
 
 Cipher frame (big-endian): magic ``SEBQ``, version byte, ``k`` (1 byte),
 ``n`` (2 bytes), then for version 2 the expander length ``a`` (2 bytes) and
@@ -26,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sebq import feistel
+from sebq import _ckernel, feistel
 from sebq.cipher import (
     MAX_SYMBOL_BITS,
     PaddingError,
@@ -81,6 +91,9 @@ EXPANDER_SPONGE = 0x00
 # n and a inside their 16-bit header fields
 MAX_LOOKUPS_PER_BLOCK = 4096
 
+# the header and order lines of a canonical key file, for each power-of-two order up to 2**MAX_SYMBOL_BITS
+_CANONICAL_HEADS = {f"{KEY_HEADER}\n{1 << k}\n": 1 << k for k in range(MAX_SYMBOL_BITS + 1)}
+
 _HEADERS = {FRAME_V1: struct.Struct(">4sBBHQ"), FRAME_V2: struct.Struct(">4sBBHHBQ")}
 
 
@@ -108,6 +121,34 @@ def key_to_text(key: SebqKey) -> str:
 
 
 def key_from_text(text: str) -> SebqKey:
+    table = _canonical_table(text)
+    if table is None:
+        table = _reference_table(text)
+    # LatinSquare rejects ragged rows, out-of-range symbols and repeats
+    try:
+        return SebqKey.from_square(LatinSquare(table))
+    except ValueError as exc:
+        raise KeyFileError(str(exc)) from None
+
+
+def _canonical_table(text: str) -> np.ndarray | None:
+    """The table of canonical key-file ``text``, read by the compiled kernel; else ``None``."""
+    kernel = _ckernel.kernel()
+    if kernel is None:
+        return None
+    split = text.find("\n", len(KEY_HEADER) + 1) + 1
+    order = _CANONICAL_HEADS.get(text[:split])
+    if order is None:
+        return None
+    try:
+        body = text[split:].encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    return kernel.parse_table(body, order)
+
+
+def _reference_table(text: str) -> list[np.ndarray]:
+    """The rows of key-file ``text``, one array each; raises :class:`KeyFileError`."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != KEY_HEADER:
         raise KeyFileError(f"missing key header {KEY_HEADER!r}")
@@ -123,14 +164,9 @@ def key_from_text(text: str) -> SebqKey:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            table = [np.fromstring(row, dtype=np.int64, sep=" ") for row in rows]
+            return [np.fromstring(row, dtype=np.int64, sep=" ") for row in rows]
     except (ValueError, DeprecationWarning):
         raise KeyFileError("non-integer table entry") from None
-    # LatinSquare rejects ragged rows, out-of-range symbols and repeats
-    try:
-        return SebqKey.from_square(LatinSquare(table))
-    except ValueError as exc:
-        raise KeyFileError(str(exc)) from None
 
 
 def save_key(path, key: SebqKey) -> str:

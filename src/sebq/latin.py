@@ -237,13 +237,18 @@ class Quasigroup:
 
     @classmethod
     def from_square(cls, square: LatinSquare) -> "Quasigroup":
-        # each row's inverse permutation; once `square` is Latin, the pair
-        # check in __post_init__ proves this table Latin without a scan
+        # each row's inverse permutation: the very scatter __post_init__'s pair
+        # check compares ldiv with, so the pair is built without that check.
+        # It needs no Latin scan either: a repeat in one of its columns would
+        # be a repeat in a column of `square`
         ldiv = object.__new__(LatinSquare)
         table = _positions(square.table)
         table.setflags(write=False)
         object.__setattr__(ldiv, "table", table)
-        return cls(square, ldiv)
+        q = object.__new__(cls)
+        object.__setattr__(q, "mul", square)
+        object.__setattr__(q, "ldiv", ldiv)
+        return q
 
     @property
     def order(self) -> int:

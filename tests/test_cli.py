@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from sebq.analysis import MAX_MESSAGE_BITS
 from sebq.cipher import encrypt, pack_bits
 from sebq.cli import build_parser, main
 from sebq.formats import decode_frame, encode_frame, load_key
@@ -265,6 +267,20 @@ class TestAnalyze:
         assert code == 1
         assert "alpha" in err
         assert "sub-tests" not in out
+
+    @pytest.mark.parametrize("command", [["stats"], ["avalanche", "--target", "plaintext", "--positions", "1"]])
+    def test_bits_over_cap_exit_1_before_drawing(self, capsys, command):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "analyze", *command, "--k", "2", "--n", "2",
+                                 "--bits", "10000000000", "--trials", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert err == f"error: message_bits 10000000000 is over the cap of {MAX_MESSAGE_BITS}\n"
+        assert out == ""
+        assert peak < 1 << 20
 
     def test_opcount_failure_prints_nothing(self, capsys):
         code, out, err = run(capsys, "analyze", "opcount", "--n", "2", "--k", "9", "--l", "2")

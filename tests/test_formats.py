@@ -1,10 +1,12 @@
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sebq.latin
+from sebq import _ckernel, formats
 from sebq.cipher import PaddingError, decrypt, encrypt, keygen, pack_bits, pad, unpack_bits
 from sebq.feistel import QuasigroupSponge
 from sebq.formats import (
@@ -24,6 +26,7 @@ from sebq.formats import (
     save_key,
     seal_bytes,
 )
+from test_ckernel import compiled
 
 
 class TestKeyFile:
@@ -120,6 +123,135 @@ class TestKeyFileParse:
         loaded = load_key(path)
         assert loaded.q.mul == key.q.mul
         assert key_fingerprint(loaded) == key_fingerprint(key)
+
+
+def _outcome(text):
+    """The fingerprint of the key ``text`` loads to, or the message it is refused with."""
+    try:
+        return key_fingerprint(key_from_text(text))
+    except KeyFileError as exc:
+        return f"KeyFileError: {exc}"
+
+
+def _variants(text):
+    """Near-canonical edits of a key file's text, each a small step off the canonical form."""
+    head, order, *rows = text.splitlines()
+    first, *rest = rows[0].split(" ")
+
+    def body(*new_rows, end="\n"):
+        return "\n".join((head, order, *new_rows)) + end
+
+    yield text.replace(" ", "\t")
+    yield text.replace("\n", "\r\n")
+    yield text.replace(" ", "  ")
+    yield body(*(" " + r for r in rows))
+    yield body(*(r + " " for r in rows))
+    yield body(*rows, end="")
+    yield body(*rows, end="\n\n")
+    yield "\n" + text
+    yield body(*(r + "\n" for r in rows))
+    kept, moved = rows[0].rsplit(" ", 1)
+    yield body(kept, *rows[1:])
+    yield body(rows[0] + " 0", *rows[1:])
+    yield body(kept, moved + " " + rows[1], *rows[2:])
+    yield body(kept, moved, *rows[1:])
+    yield body(rows[0] + " " + rows[1], *rows[2:])
+    yield body(*rows[:-1])
+    yield body(*rows, rows[0])
+    for token in ("0" + first, "01", "00", "+1", "-1", "1" * 20, order, str(int(order) + 1), rest[0], "x", "\u0661", "é"):
+        yield body(" ".join((token, *rest)), *rows[1:])
+    for new_order in ("0" + order, " " + order, order + " ", "+" + order, str(int(order) * 2), "1"):
+        yield "\n".join((head, new_order, *rows)) + "\n"
+    yield text.replace(head, head + " ", 1)
+    yield text.replace(head, "sebq-lsq v1", 1)
+
+
+@compiled
+class TestCompiledKeyParse:
+    """The compiled parse of canonical key files against the per-row reference parse."""
+
+    @pytest.fixture
+    def both(self, monkeypatch):
+        def run(text):
+            compiled_side = _outcome(text)
+            with monkeypatch.context() as m:
+                m.setattr(_ckernel, "kernel", lambda: None)
+                return compiled_side, _outcome(text)
+
+        return run
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_canonical_text_takes_the_compiled_parse(self, k, monkeypatch):
+        key = keygen(k, 700 + k)
+        monkeypatch.setattr(formats, "_reference_table", lambda text: pytest.fail("the reference parse ran"))
+        assert key_fingerprint(key_from_text(key_to_text(key))) == key_fingerprint(key)
+
+    def test_variants_match_reference(self, both):
+        seen = set()
+        for k in (1, 2, 3, 8):
+            text = key_to_text(keygen(k, 40 + k))
+            for variant in (text, *_variants(text)):
+                compiled_side, reference = both(variant)
+                assert compiled_side == reference, repr(variant[:80])
+                seen.add(reference.startswith("KeyFileError"))
+        assert seen == {False, True}  # both loads and refusals were compared
+
+    def test_every_prefix_of_a_k2_file_matches_reference(self, both):
+        text = key_to_text(keygen(2, 3))
+        for end in range(len(text) + 1):
+            compiled_side, reference = both(text[:end])
+            assert compiled_side == reference, repr(text[:end])
+
+    def test_seeded_mutations_of_a_k3_file_match_reference(self, both):
+        text = key_to_text(keygen(3, 8))
+        rng = random.Random(1717)
+        alphabet = "0123456789  \n\t\r-+x\u00e9"
+        for _ in range(400):
+            chars = list(text)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(chars))
+                kind = rng.randrange(4)
+                if kind == 0:
+                    chars[i] = rng.choice(alphabet)
+                elif kind == 1:
+                    chars[i] = {" ": "\n", "\n": " "}.get(chars[i], chars[i])
+                elif kind == 2:
+                    chars.insert(i, rng.choice(alphabet))
+                else:
+                    del chars[i]
+            mutant = "".join(chars)
+            compiled_side, reference = both(mutant)
+            assert compiled_side == reference, repr(mutant)
+
+    def test_short_canonical_body_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            assert _ckernel.kernel().parse_table(b"0 1\n1 0\n", 256) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
+
+
+class TestKeyFileBounds:
+    def test_huge_order_refused_with_reference_message(self):
+        text = f"SEBQ-LSQ v1\n{2**40}\n0 1\n1 0\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(KeyFileError) as exc:
+                key_from_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"expected {2**40} table rows, found 2"
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_canonical_keys_load_without_the_kernel(self, k, monkeypatch):
+        key = keygen(k, 900 + k)
+        text = key_to_text(key)
+        monkeypatch.setattr(_ckernel, "kernel", lambda: None)
+        assert key_fingerprint(key_from_text(text)) == key_fingerprint(key)
 
 
 class TestFrameCodec:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
+from sebq import latin
 from sebq.latin import (
     LatinSquare,
     LatinViolation,
@@ -107,6 +108,16 @@ class TestParastrophe:
     def test_mismatched_tables_rejected(self):
         with pytest.raises(ValueError):
             Quasigroup(LatinSquare(MUL_5), LatinSquare(MUL_5))
+
+    def test_from_square_scatters_once(self, monkeypatch):
+        square = random_latin_square(16, 3)
+        calls = []
+        real = latin._positions
+        monkeypatch.setattr(latin, "_positions", lambda arr: calls.append(1) or real(arr))
+        q = Quasigroup.from_square(square)
+        assert len(calls) == 1
+        assert Quasigroup(square, q.ldiv).ldiv == q.ldiv  # the checked constructor takes the pair
+        assert not q.ldiv.table.flags.writeable
 
 
 class TestRandomGeneration:
