@@ -40,9 +40,11 @@ __all__ = [
     "avalanche",
     "avalanche_experiment",
     "operation_count",
+    "MAX_COUNTED_LOOKUPS",
     "instrumented_counts",
     "EXACT_LATIN_COUNTS",
     "latin_count_log2",
+    "MAX_TARGET_BITS",
     "min_secure_order",
     "secure_order_report",
     "OPCOUNT_DISCREPANCY_NOTE",
@@ -86,14 +88,15 @@ def frequency_test(bits, alpha: float = 0.01) -> TestReport:
     return _report("frequency", math.erfc(s / math.sqrt(2)), alpha, n)
 
 
-def block_frequency_test(bits, alpha: float = 0.01, block_size: int = 128) -> TestReport:
+def block_frequency_test(bits, alpha: float = 0.01) -> TestReport:
+    """Proportion of ones in 128-bit blocks, chi-square against one half."""
     b = _bits(bits)
     n = b.size
-    nblocks = n // block_size
+    nblocks = n // 128
     if nblocks < 1:
-        return _skip("block_frequency", n, f"needs at least {block_size} bits")
-    pi = b[: nblocks * block_size].reshape(nblocks, block_size).mean(axis=1)
-    chi2 = 4.0 * block_size * float(((pi - 0.5) ** 2).sum())
+        return _skip("block_frequency", n, "needs at least 128 bits")
+    pi = b[: nblocks * 128].reshape(nblocks, 128).mean(axis=1)
+    chi2 = 4.0 * 128 * float(((pi - 0.5) ** 2).sum())
     return _report("block_frequency", gammaincc(nblocks / 2.0, chi2 / 2.0), alpha, n)
 
 
@@ -175,9 +178,7 @@ def cumulative_sums_test(bits, alpha: float = 0.01, forward: bool = True) -> Tes
 
 
 def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
-    """Counts of overlapping m-bit patterns with wraparound."""
-    if m == 0:
-        return np.array([b.size])
+    """Counts of overlapping m-bit patterns with wraparound, for m >= 1."""
     ext = np.concatenate([b, b[: m - 1]])
     idx = np.zeros(b.size, dtype=np.int64)
     for j in range(m):
@@ -186,54 +187,51 @@ def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
 
 
 def _psi_sq(b: np.ndarray, m: int) -> float:
-    if m <= 0:
-        return 0.0
     counts = _pattern_counts(b, m)
     n = b.size
     return float((counts.astype(np.float64) ** 2).sum()) * (1 << m) / n - n
 
 
-def serial_test(bits, alpha: float = 0.01, m: int = 5) -> tuple[TestReport, TestReport]:
-    """Overlapping m-pattern uniformity; two p-values from the first and
-    second difference of the psi-square statistics."""
+def serial_test(bits, alpha: float = 0.01) -> tuple[TestReport, TestReport]:
+    """Overlapping 5-bit pattern uniformity; two p-values from the first and
+    second difference of the psi-square statistics for m = 5, 4, 3."""
     b = _bits(bits)
     n = b.size
-    if m < 2 or n < (1 << (m + 1)):
+    if n < 64:
         return (
-            _skip("serial_1", n, f"needs m >= 2 and at least {1 << (m + 1)} bits"),
+            _skip("serial_1", n, "needs at least 64 bits"),
             _skip("serial_2", n, "see serial_1"),
         )
-    d1 = _psi_sq(b, m) - _psi_sq(b, m - 1)
-    d2 = _psi_sq(b, m) - 2 * _psi_sq(b, m - 1) + _psi_sq(b, m - 2)
-    p1 = gammaincc(2 ** (m - 2), d1 / 2.0)
-    p2 = gammaincc(2 ** (m - 3), d2 / 2.0)
+    psi5, psi4, psi3 = _psi_sq(b, 5), _psi_sq(b, 4), _psi_sq(b, 3)
     return (
-        _report("serial_1", p1, alpha, n),
-        _report("serial_2", p2, alpha, n),
+        _report("serial_1", gammaincc(8, (psi5 - psi4) / 2.0), alpha, n),
+        _report("serial_2", gammaincc(4, (psi5 - 2 * psi4 + psi3) / 2.0), alpha, n),
     )
 
 
-def approximate_entropy_test(bits, alpha: float = 0.01, m: int = 2) -> TestReport:
+def approximate_entropy_test(bits, alpha: float = 0.01) -> TestReport:
+    """Approximate entropy of overlapping 2- and 3-bit patterns."""
     b = _bits(bits)
     n = b.size
-    if n < (1 << (m + 2)):
-        return _skip("approx_entropy", n, f"needs at least {1 << (m + 2)} bits")
+    if n < 16:
+        return _skip("approx_entropy", n, "needs at least 16 bits")
 
-    def phi(mm: int) -> float:
-        counts = _pattern_counts(b, mm)
+    def phi(m: int) -> float:
+        counts = _pattern_counts(b, m)
         probs = counts[counts > 0].astype(np.float64) / n
         return float((probs * np.log(probs)).sum())
 
-    apen = phi(m) - phi(m + 1)
-    chi2 = 2.0 * n * (math.log(2.0) - apen)
-    return _report("approx_entropy", gammaincc(2 ** (m - 1), chi2 / 2.0), alpha, n)
+    chi2 = 2.0 * n * (math.log(2.0) - (phi(2) - phi(3)))
+    return _report("approx_entropy", gammaincc(2, chi2 / 2.0), alpha, n)
 
 
 def randomness_suite(bits, alpha: float = 0.01) -> list[TestReport]:
     """Run the full battery on one bit sequence.
 
-    Sub-tests whose minimum length is not met come back flagged as skipped
-    rather than failing.
+    The sub-test parameters are fixed: 128-bit blocks for block frequency,
+    m=5 for serial and m=2 for approximate entropy.  Sub-tests whose
+    minimum length is not met come back flagged as skipped rather than
+    failing.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -255,8 +253,9 @@ def randomness_suite(bits, alpha: float = 0.01) -> list[TestReport]:
 
 # -- ciphertext experiments ----------------------------------------------------
 
-# the longest experiment plaintext, 2 MiB of bits: a message is drawn as a
-# list of one Python int per bit, some 8 bytes a bit before the array is made
+# the longest experiment plaintext or IV, 2 MiB of bits: a message is drawn
+# as a list of one Python int per bit, some 8 bytes a bit before the array is
+# made, and an IV as a list of one Python int per block
 MAX_MESSAGE_BITS = 1 << 24
 
 
@@ -270,16 +269,25 @@ def encrypt_bit_sequence(key: SebqKey, iv: Sequence[int], plaintext_bits) -> np.
     return np.unpackbits(np.frombuffer(pack_bits(ct, k), dtype=np.uint8), count=bits.size)
 
 
-def _experiment_plaintext(kind: str, nbits: int, rng) -> np.ndarray:
-    if nbits > MAX_MESSAGE_BITS:
-        raise ValueError(f"message_bits {nbits} is over the cap of {MAX_MESSAGE_BITS}")
-    if kind == "random":
-        return np.array([rng.randrange(2) for _ in range(nbits)], dtype=np.uint8)
-    if kind == "zeros":
-        return np.zeros(nbits, dtype=np.uint8)
-    if kind == "ones":
-        return np.ones(nbits, dtype=np.uint8)
-    raise ValueError(f"unknown plaintext kind {kind!r}")
+def _draw_trial(rng, k: int, leader_blocks: int, message_bits: int, plaintext: str = "random"):
+    """One experiment's fresh key, IV and plaintext bits, drawn from ``rng`` in that order.
+
+    An IV or a message over :data:`MAX_MESSAGE_BITS` bits, or an unknown
+    plaintext kind, raises ``ValueError`` before anything is drawn.
+    """
+    if leader_blocks * k > MAX_MESSAGE_BITS:
+        raise ValueError(
+            f"iv of {leader_blocks} blocks of {k} bits is over the cap of {MAX_MESSAGE_BITS} bits"
+        )
+    if message_bits > MAX_MESSAGE_BITS:
+        raise ValueError(f"message_bits {message_bits} is over the cap of {MAX_MESSAGE_BITS}")
+    if plaintext not in ("random", "zeros", "ones"):
+        raise ValueError(f"unknown plaintext kind {plaintext!r}")
+    key = keygen(k, rng.randrange(2**63))
+    iv = [rng.randrange(key.order) for _ in range(leader_blocks)]
+    if plaintext == "random":
+        return key, iv, np.array([rng.randrange(2) for _ in range(message_bits)], dtype=np.uint8)
+    return key, iv, np.full(message_bits, plaintext == "ones", dtype=np.uint8)
 
 
 def ciphertext_suite_experiment(
@@ -296,17 +304,14 @@ def ciphertext_suite_experiment(
 
     Each sequence uses a fresh random key and IV; the plaintext is random,
     all zeros, or all ones.  Defaults mirror the reference experiment:
-    order-16 key, 400-bit IV, 4000-bit messages.  ``message_bits`` over
-    :data:`MAX_MESSAGE_BITS` raises ``ValueError``.
+    order-16 key, 400-bit IV, 4000-bit messages.  An IV or a message over
+    :data:`MAX_MESSAGE_BITS` bits raises ``ValueError``.
     """
     rng = as_rng(seed)
     out = []
     for _ in range(sequences):
-        key = keygen(k, rng.randrange(2**63))
-        iv = [rng.randrange(key.order) for _ in range(leader_blocks)]
-        pt = _experiment_plaintext(plaintext, message_bits, rng)
-        ct_bits = encrypt_bit_sequence(key, iv, pt)
-        out.append(randomness_suite(ct_bits, alpha))
+        key, iv, pt = _draw_trial(rng, k, leader_blocks, message_bits, plaintext)
+        out.append(randomness_suite(encrypt_bit_sequence(key, iv, pt), alpha))
     return out
 
 
@@ -363,6 +368,46 @@ def _hamming_pct(a: np.ndarray, b: np.ndarray) -> float:
     return 100.0 * float(np.count_nonzero(a != b)) / a.size
 
 
+def _check_flips(target: str, positions, trials: int, nbits: int) -> None:
+    """Refuse an avalanche run with nothing to perturb, or a flip position
+    outside the ``nbits`` bits its target holds.
+
+    Stops at the first bad position, so a ``range`` from 0 is read no
+    further than ``nbits``.
+    """
+    if target == "key":
+        if trials < 1:
+            raise ValueError("key avalanche needs at least one swap")
+        return
+    if target not in ("plaintext", "iv"):
+        raise ValueError(f"unknown avalanche target {target!r}")
+    if positions is None or len(positions) == 0:
+        raise ValueError(f"{target} avalanche needs flip positions")
+    bad = next((p for p in positions if not 0 <= p < nbits), None)
+    if bad is not None:
+        raise ValueError(f"flip position {bad} out of range")
+
+
+def _flip_percents(target: str, key: SebqKey, iv: list, bits, positions, trials: int, rng) -> list:
+    """Ciphertext change per flip, for arguments :func:`_check_flips` passed."""
+    base_ct = encrypt_bit_sequence(key, iv, bits)
+    if target == "key":
+        swapped = (SebqKey.from_square(intercalate_swap(key.q.mul, rng)) for _ in range(trials))
+        return [_hamming_pct(base_ct, encrypt_bit_sequence(sk, iv, bits)) for sk in swapped]
+    percents = []
+    for p in positions:
+        if target == "plaintext":
+            flipped = bits.copy()
+            flipped[p] ^= 1
+            ct = encrypt_bit_sequence(key, iv, flipped)
+        else:
+            iv2 = list(iv)
+            iv2[p // key.k] ^= 1 << (key.k - 1 - p % key.k)
+            ct = encrypt_bit_sequence(key, iv2, bits)
+        percents.append(_hamming_pct(base_ct, ct))
+    return percents
+
+
 def avalanche(
     target: str,
     key: SebqKey,
@@ -380,39 +425,12 @@ def avalanche(
     ``"key"`` the table is perturbed by ``trials`` random intercalate
     swaps (the smallest Latin-preserving change) instead of bit flips.
     """
-    if target in ("plaintext", "iv") and not positions:
-        raise ValueError(f"{target} avalanche needs flip positions")
-    if target == "key" and trials < 1:
-        raise ValueError("key avalanche needs at least one swap")
-    rng = as_rng(seed)
     bits = _bits(message_bits)
     iv = list(iv)
-    base_ct = encrypt_bit_sequence(key, iv, bits)
-    percents = []
-    if target == "plaintext":
-        for p in positions:
-            if not 0 <= p < bits.size:
-                raise ValueError(f"flip position {p} out of range")
-            flipped = bits.copy()
-            flipped[p] ^= 1
-            percents.append(_hamming_pct(base_ct, encrypt_bit_sequence(key, iv, flipped)))
-    elif target == "iv":
-        k = key.k
-        for p in positions:
-            if not 0 <= p < len(iv) * k:
-                raise ValueError(f"flip position {p} out of range")
-            iv2 = list(iv)
-            iv2[p // k] ^= 1 << (k - 1 - p % k)
-            percents.append(_hamming_pct(base_ct, encrypt_bit_sequence(key, iv2, bits)))
-    elif target == "key":
-        for _ in range(trials):
-            perturbed = SebqKey.from_square(intercalate_swap(key.q.mul, rng))
-            percents.append(_hamming_pct(base_ct, encrypt_bit_sequence(perturbed, iv, bits)))
-    else:
-        raise ValueError(f"unknown avalanche target {target!r}")
+    _check_flips(target, positions, trials, len(iv) * key.k if target == "iv" else bits.size)
+    percents = _flip_percents(target, key, iv, bits, positions, trials, as_rng(seed))
     return AvalancheReport(
-        target, np.asarray(percents, dtype=np.float64).reshape(1, -1),
-        tuple(positions or ()),
+        target, np.asarray(percents, dtype=np.float64).reshape(1, -1), tuple(positions or ())
     )
 
 
@@ -422,7 +440,7 @@ def avalanche_experiment(
     k: int = 4,
     leader_blocks: int = 100,
     message_bits: int = 4000,
-    positions: Sequence[int] = tuple(range(10)),
+    positions: Sequence[int] = range(10),
     experiments: int = 10,
     flips_per_experiment: int | None = None,
     seed: SeedLike = None,
@@ -432,23 +450,18 @@ def avalanche_experiment(
     Defaults mirror the reference setup: order-16 key, 400-bit IV,
     4000-bit random plaintext, 10 experiments over 10 flip positions (for
     the key target, ``flips_per_experiment`` swaps per experiment, by
-    default one per flip position).  ``message_bits`` over
-    :data:`MAX_MESSAGE_BITS` raises ``ValueError``.
+    default one per flip position).  Flip positions are checked against
+    the bits of the plaintext or the IV before anything is drawn, and an IV
+    or a message over :data:`MAX_MESSAGE_BITS` bits raises ``ValueError``.
     """
+    flips = flips_per_experiment or len(positions)
+    _check_flips(target, positions, flips, leader_blocks * k if target == "iv" else message_bits)
     rng = as_rng(seed)
     rows = []
-    pos = tuple(positions)
     for _ in range(experiments):
-        key = keygen(k, rng.randrange(2**63))
-        iv = [rng.randrange(key.order) for _ in range(leader_blocks)]
-        pt = _experiment_plaintext("random", message_bits, rng)
-        if target == "key":
-            flips = flips_per_experiment or len(pos)
-            rep = avalanche(target, key, iv, pt, trials=flips, seed=rng)
-        else:
-            rep = avalanche(target, key, iv, pt, positions=pos, seed=rng)
-        rows.append(rep.percents[0])
-    return AvalancheReport(target, np.vstack(rows), pos)
+        key, iv, pt = _draw_trial(rng, k, leader_blocks, message_bits)
+        rows.append(_flip_percents(target, key, iv, pt, positions, flips, rng))
+    return AvalancheReport(target, np.vstack(rows), tuple(positions))
 
 
 # -- operation counts ----------------------------------------------------------
@@ -475,6 +488,11 @@ OPCOUNT_DISCREPANCY_NOTE = (
     "(n=4, k=4, l=16) and matches no consistent parameter assignment we "
     "found, so the formula is implemented verbatim and the example flagged."
 )
+
+
+# the most lookups ``sebq analyze opcount`` counts, n*l: the counted loop
+# runs in Python at some 150 ns a lookup, after drawing l symbols with randrange
+MAX_COUNTED_LOOKUPS = 1 << 20
 
 
 class _CountingRows:
@@ -539,6 +557,11 @@ def latin_count_log2(m: int, policy: str = "exact") -> float:
     return latin_square_log2_bounds(m)[0]
 
 
+# the largest security target searched: each order the search passes costs
+# O(order) to bound, and a 65536-bit target stops at order 126 within milliseconds
+MAX_TARGET_BITS = 1 << 16
+
+
 def min_secure_order(
     target_bits: int, ops_per_trial: int = 380, policy: str = "exact"
 ) -> int:
@@ -546,10 +569,13 @@ def min_secure_order(
 
     The adversary must try ``count(m) * ops_per_trial`` operations, so the
     threshold is ``log2(count(m)) + log2(ops) >= target_bits``, compared in
-    log2 to dodge astronomic integers.
+    log2 to dodge astronomic integers.  A target over
+    :data:`MAX_TARGET_BITS` raises ``ValueError`` before the search.
     """
     if target_bits < 1:
         raise ValueError("target_bits must be positive")
+    if target_bits > MAX_TARGET_BITS:
+        raise ValueError(f"target_bits {target_bits} is over the cap of {MAX_TARGET_BITS}")
     if ops_per_trial < 1:
         raise ValueError("ops_per_trial must be positive")
     log2_ops = math.log2(ops_per_trial)

@@ -126,15 +126,13 @@ def cmd_analyze_avalanche(args) -> int:
     if args.trials < 1 or (args.positions > 0 and args.trials % args.positions):
         return _fail(EXIT_USAGE, f"--trials {args.trials} must be a positive multiple of "
                      f"--positions {args.positions}")
-    positions = tuple(range(args.positions))
-    experiments = args.trials // max(1, args.positions)
     report = analysis.avalanche_experiment(
         args.target,
         k=args.k,
         leader_blocks=args.n,
         message_bits=args.bits,
-        positions=positions,
-        experiments=experiments,
+        positions=range(args.positions),
+        experiments=args.trials // max(1, args.positions),
         seed=args.seed,
     )
     print(report)
@@ -160,6 +158,9 @@ def cmd_analyze_opcount(args) -> int:
     from sebq import analysis
 
     ops = analysis.operation_count(args.n, args.k, args.l)
+    if args.n * args.l > analysis.MAX_COUNTED_LOOKUPS:
+        return _fail(EXIT_USAGE, f"--n {args.n} times --l {args.l} is over the cap of "
+                     f"{analysis.MAX_COUNTED_LOOKUPS} counted lookups")
     key = keygen(args.k, args.seed if args.seed is not None else 0)
     rng = as_rng(args.seed)
     iv = [rng.randrange(key.order) for _ in range(args.n)]

@@ -19,7 +19,7 @@ import numpy as np
 
 from sebq import feistel
 from sebq.cipher import SebqKey, decrypt, encrypt, keygen
-from sebq.latin import SeedLike, _as_int_array, _fill, _first_repeat, as_rng
+from sebq.latin import SeedLike, _as_square_array, _fill, _first_repeat, as_rng
 
 __all__ = [
     "QueryRestrictionError",
@@ -507,12 +507,7 @@ class PartialLatinSquare:
     cells: np.ndarray
 
     def __post_init__(self):
-        arr = _as_int_array(self.cells)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise ValueError(f"cells must be square, got shape {arr.shape}")
-        n = arr.shape[0]
-        if arr.max() >= n or arr.min() < -1:
-            raise ValueError("cell symbols must be -1 or in 0..n-1")
+        arr = _as_square_array(self.cells, lowest=-1)
         repeat = _first_repeat(arr)
         if repeat is not None:
             raise ValueError(f"known cells repeat a symbol in {repeat.axis} {repeat.index}")

@@ -66,7 +66,8 @@ def as_rng(seed: SeedLike = None) -> random.Random:
 
 
 def _as_int_array(table) -> np.ndarray:
-    """Coerce to an ``int64`` array, refusing a ragged table or a non-integer entry.
+    """Coerce to an ``int64`` array, refusing a ragged table or an entry that
+    is not an integer or does not fit in 64 bits.
 
     An ``int64`` array comes back as it is, not copied.
     """
@@ -74,26 +75,34 @@ def _as_int_array(table) -> np.ndarray:
         arr = np.asarray(table)
     except ValueError as exc:  # ragged nested sequence
         raise StructureError(f"table is not rectangular: {exc}") from None
-    if np.issubdtype(arr.dtype, np.integer) or arr.dtype == bool:
+    if np.can_cast(arr.dtype, np.int64):  # bool and every integer type but uint64
         return arr.astype(np.int64, copy=False)
+    # entry by entry through Python ints, so no value wraps or truncates unseen
+    entries = arr.astype(object)
     try:
-        cast = arr.astype(np.int64)
+        cast = entries.astype(np.int64)
+    except OverflowError:
+        raise StructureError("table entries must fit in 64 bits") from None
     except (TypeError, ValueError):
         raise StructureError("table entries must be integers") from None
-    if not np.array_equal(cast, arr.astype(object)):
+    if not np.array_equal(cast, entries):
         raise StructureError("table entries must be integers")
     return cast
 
 
-def _as_square_array(table) -> np.ndarray:
-    """Coerce to an int array and enforce the structural preconditions."""
+def _as_square_array(table, lowest: int = 0) -> np.ndarray:
+    """Coerce to an int array and enforce the structural preconditions: a
+    non-empty square of symbols in ``lowest..n-1``.
+
+    ``lowest=-1`` admits the unknown cells of a partial grid.
+    """
     arr = _as_int_array(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise StructureError(f"table must be square and non-empty, got shape {arr.shape}")
     n = arr.shape[0]
-    if arr.min() < 0 or arr.max() >= n:
-        bad = arr[(arr < 0) | (arr >= n)].flat[0]
-        raise StructureError(f"symbol {bad} out of range 0..{n - 1}")
+    if arr.min() < lowest or arr.max() >= n:
+        bad = arr[(arr < lowest) | (arr >= n)].flat[0]
+        raise StructureError(f"symbol {bad} out of range {lowest}..{n - 1}")
     return arr
 
 
@@ -561,22 +570,19 @@ def permanent(matrix) -> int:
     """Exact matrix permanent: the determinant sum without sign alternation.
 
     Uses Ryser's inclusion-exclusion with Gray-code updates; exact over
-    Python integers.  Guarded to ``n <= 20``.
+    Python integers.  Entries are coerced as :class:`LatinSquare`'s are, so
+    bools and integer-valued floats count as the integers they stand for.
+    Guarded to ``n <= 20``.
     """
-    try:
-        arr = np.asarray(matrix)
-    except ValueError:
-        raise StructureError("matrix is not rectangular") from None
+    arr = _as_int_array(matrix)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise StructureError(f"matrix must be square, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise StructureError("matrix entries must be integers")
     n = arr.shape[0]
     if n > 20:
         raise ValueError("permanent is guarded to n <= 20")
     if n == 0:
         return 1
-    rows = [[int(v) for v in row] for row in arr]
+    rows = arr.tolist()
 
     total = 0
     colsum = [0] * n

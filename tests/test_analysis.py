@@ -296,3 +296,36 @@ class TestEmitters:
         path = tmp_path / "sum.json"
         write_json_summary(path, {"alpha": 0.01, "passes": 9})
         assert json.loads(path.read_text()) == {"alpha": 0.01, "passes": 9}
+
+
+class TestBatteryPinned:
+    """The battery's figures on one seeded sequence, so a refactor cannot move them unseen."""
+
+    P_VALUES = {
+        "frequency": 0.9495709711511051,
+        "block_frequency": 0.4788599667210809,
+        "runs": 0.3758860083051712,
+        "longest_run": 0.41213463830846897,
+        "cusum_forward": 0.4003384362179992,
+        "cusum_backward": 0.3578068127693668,
+        "serial_1": 0.7074759865428428,
+        "serial_2": 0.6794558653663957,
+        "approx_entropy": 0.7137343907162947,
+    }
+
+    @pytest.fixture
+    def bits(self):
+        x = random.Random(4000).getrandbits(4000)
+        return np.array([(x >> i) & 1 for i in range(4000)], dtype=np.uint8)
+
+    def test_p_values(self, bits):
+        reports = randomness_suite(bits)
+        assert [r.name for r in reports] == list(self.P_VALUES)
+        for rep in reports:
+            assert rep.p_value == pytest.approx(self.P_VALUES[rep.name], rel=1e-9), rep.name
+            assert (rep.passed, rep.skipped, rep.note, rep.n_bits) == (True, False, "", 4000)
+
+    def test_pass_flags_follow_alpha(self, bits):
+        passed = {r.name: r.passed for r in randomness_suite(bits, alpha=0.45)}
+        assert passed == {name: p >= 0.45 for name, p in self.P_VALUES.items()}
+        assert set(passed.values()) == {True, False}

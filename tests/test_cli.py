@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from sebq.analysis import MAX_MESSAGE_BITS
+from sebq.analysis import MAX_COUNTED_LOOKUPS, MAX_MESSAGE_BITS, MAX_TARGET_BITS
 from sebq.cipher import encrypt, pack_bits
 from sebq.cli import build_parser, main
 from sebq.formats import decode_frame, encode_frame, load_key
@@ -529,3 +529,55 @@ class TestParserReuse:
         parser.parse_args(["encrypt", "--key", "k", "--in", "i", "--out", "o", "--seed", "5", "--a", "6"])
         args = parser.parse_args(["encrypt", "--key", "k", "--in", "i", "--out", "o"])
         assert (args.seed, args.a, args.scheme, args.n, args.iv_hex) == (None, None, "plain", 8, None)
+
+
+BIG = "10000000000"
+
+
+class TestAnalysisSizeCaps:
+    """Every size option of the analysis commands, at 10**10, exits 1 before drawing."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stats", "--n", BIG, "--trials", "1"], "iv of 10000000000 blocks"),
+            (["avalanche", "--target", "iv", "--n", BIG, "--trials", "1", "--positions", "1"],
+             "iv of 10000000000 blocks"),
+            (["avalanche", "--target", "plaintext", "--positions", BIG, "--trials", BIG],
+             "flip position 4000 out of range"),
+            (["avalanche", "--target", "iv", "--positions", BIG, "--trials", BIG],
+             "flip position 400 out of range"),
+            (["opcount", "--n", "2", "--k", "2", "--l", BIG], "--n 2 times --l 10000000000"),
+            (["opcount", "--n", BIG, "--k", "2", "--l", "2"], "--n 10000000000 times --l 2"),
+            (["secure-order", "--bits", BIG], "target_bits 10000000000"),
+        ],
+    )
+    def test_exit_1_before_drawing(self, capsys, monkeypatch, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew or searched before refusing the size")
+
+        for name in ("sebq.cli.keygen", "sebq.analysis.keygen", "sebq.analysis.latin_count_log2"):
+            monkeypatch.setattr(name, refuse)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "analyze", *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["opcount", "--n", "1024", "--k", "2", "--l", str(MAX_COUNTED_LOOKUPS // 1024)],
+            ["secure-order", "--bits", str(MAX_TARGET_BITS)],
+        ],
+    )
+    def test_largest_allowed_sizes_run(self, capsys, argv):
+        code, out, err = run(capsys, "analyze", *argv)
+        assert code == 0 and err == ""
+        assert out

@@ -7,9 +7,12 @@ import pytest
 
 from sebq.games import PartialLatinSquare, complete_latin_square
 from sebq.latin import (
+    LatinSquare,
     LatinViolation,
     Quasigroup,
+    StructureError,
     enumerate_latin_squares,
+    permanent,
     random_latin_square,
     validate_latin_square,
 )
@@ -146,3 +149,35 @@ class TestPartialRepeats:
     def test_integral_float_cells_accepted(self):
         cells = PartialLatinSquare([[0.0, -1.0], [-1.0, 0.0]]).cells
         assert cells.dtype == np.int64 and cells.tolist() == [[0, -1], [-1, 0]]
+
+
+class TestOneGridCoercion:
+    """Partial grids and permanents take the coercion LatinSquare takes."""
+
+    @pytest.mark.parametrize("build", [LatinSquare, PartialLatinSquare])
+    def test_entry_past_64_bits_is_structural(self, build):
+        with pytest.raises(StructureError):
+            build([[2**70]])
+
+    def test_partial_out_of_range_is_structural(self):
+        with pytest.raises(StructureError, match=r"symbol -2 out of range -1\.\.1"):
+            PartialLatinSquare([[0, -2], [-1, 0]])
+        with pytest.raises(StructureError, match="square and non-empty"):
+            PartialLatinSquare([[0, -1]])
+
+    def test_permanent_of_bool_float_and_int_forms(self):
+        rng = random.Random(7)
+        for n in range(1, 7):
+            ints = np.array([[rng.randrange(2) for _ in range(n)] for _ in range(n)])
+            want = permanent(ints)
+            assert permanent(ints.astype(bool)) == want
+            assert permanent(ints.astype(float)) == want
+            assert permanent(ints.tolist()) == want
+
+    def test_permanent_refuses_what_latin_square_refuses(self):
+        with pytest.raises(StructureError, match="table entries must be integers"):
+            permanent([[0.5]])
+        with pytest.raises(StructureError, match="table is not rectangular"):
+            permanent([[1, 0], [1]])
+        with pytest.raises(StructureError):
+            permanent(np.array([[2**63]], dtype=np.uint64))
