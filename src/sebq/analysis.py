@@ -34,6 +34,7 @@ __all__ = [
     "randomness_suite",
     "encrypt_bit_sequence",
     "MAX_MESSAGE_BITS",
+    "MAX_EXPERIMENT_BITS",
     "ciphertext_suite_experiment",
     "aggregate_pass_rates",
     "AvalancheReport",
@@ -253,10 +254,19 @@ def randomness_suite(bits, alpha: float = 0.01) -> list[TestReport]:
 
 # -- ciphertext experiments ----------------------------------------------------
 
-# the longest experiment plaintext or IV, 2 MiB of bits: a message is drawn
-# as a list of one Python int per bit, some 8 bytes a bit before the array is
-# made, and an IV as a list of one Python int per block
+# the longest experiment plaintext or IV, 2 MiB of bits: the battery holds
+# int64 arrays of one entry per bit, 128 MiB each at the cap, and an IV is a
+# list of one Python int per block
 MAX_MESSAGE_BITS = 1 << 24
+
+# the most bits one experiment run encrypts: sequences x message bits for the
+# battery, experiments x flips x message bits for avalanche; room for the
+# NIST SP 800-22 run of 1000 sequences of 10**6 bits
+MAX_EXPERIMENT_BITS = 1 << 30
+
+# Mersenne Twister words per getrandbits call in _draw_below, so that no
+# draw builds an integer over 256 KiB
+_DRAW_WORDS = 1 << 16
 
 
 def encrypt_bit_sequence(key: SebqKey, iv: Sequence[int], plaintext_bits) -> np.ndarray:
@@ -269,11 +279,32 @@ def encrypt_bit_sequence(key: SebqKey, iv: Sequence[int], plaintext_bits) -> np.
     return np.unpackbits(np.frombuffer(pack_bits(ct, k), dtype=np.uint8), count=bits.size)
 
 
-def _draw_trial(rng, k: int, leader_blocks: int, message_bits: int, plaintext: str = "random"):
-    """One experiment's fresh key, IV and plaintext bits, drawn from ``rng`` in that order.
+def _draw_below(rng, m: int, count: int) -> np.ndarray:
+    """``[rng.randrange(m) for _ in range(count)]`` as a ``uint32`` array, for
+    ``1 <= m < 2**32``, leaving ``rng`` in the same state as that loop.
 
-    An IV or a message over :data:`MAX_MESSAGE_BITS` bits, or an unknown
-    plaintext kind, raises ``ValueError`` before anything is drawn.
+    CPython's ``randrange(m)`` draws ``getrandbits(m.bit_length())`` until the
+    result is below ``m``, and each such draw keeps the top bits of one
+    32-bit Mersenne Twister word.  ``getrandbits(32 * w)`` returns ``w`` such
+    words, the first drawn least significant.  Each word gives at most one
+    value, so no word is drawn that the loop would not draw.
+    """
+    shift = 32 - m.bit_length()
+    out = [np.zeros(0, dtype=np.uint32)]
+    have = 0
+    while have < count:
+        need = min(count - have, _DRAW_WORDS)
+        raw = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        values = np.frombuffer(raw, dtype="<u4") >> np.uint32(shift)
+        out.append(values[values < m])
+        have += out[-1].size
+    return np.concatenate(out)
+
+
+def _check_trials(k: int, leader_blocks: int, message_bits: int, plaintext: str, encryptions: int):
+    """Refuse an experiment run, before anything is drawn, whose IV or message
+    is over :data:`MAX_MESSAGE_BITS` bits, whose plaintext kind is unknown, or
+    whose ``encryptions`` of the message come to over :data:`MAX_EXPERIMENT_BITS`.
     """
     if leader_blocks * k > MAX_MESSAGE_BITS:
         raise ValueError(
@@ -283,10 +314,20 @@ def _draw_trial(rng, k: int, leader_blocks: int, message_bits: int, plaintext: s
         raise ValueError(f"message_bits {message_bits} is over the cap of {MAX_MESSAGE_BITS}")
     if plaintext not in ("random", "zeros", "ones"):
         raise ValueError(f"unknown plaintext kind {plaintext!r}")
+    if encryptions * message_bits > MAX_EXPERIMENT_BITS:
+        raise ValueError(
+            f"{encryptions} encryptions of {message_bits} bits is over the cap of "
+            f"{MAX_EXPERIMENT_BITS} bits"
+        )
+
+
+def _draw_trial(rng, k: int, leader_blocks: int, message_bits: int, plaintext: str = "random"):
+    """One experiment's fresh key, IV and plaintext bits, drawn from ``rng`` in
+    that order, for arguments :func:`_check_trials` passed."""
     key = keygen(k, rng.randrange(2**63))
-    iv = [rng.randrange(key.order) for _ in range(leader_blocks)]
+    iv = _draw_below(rng, key.order, leader_blocks).tolist()
     if plaintext == "random":
-        return key, iv, np.array([rng.randrange(2) for _ in range(message_bits)], dtype=np.uint8)
+        return key, iv, _draw_below(rng, 2, message_bits).astype(np.uint8)
     return key, iv, np.full(message_bits, plaintext == "ones", dtype=np.uint8)
 
 
@@ -305,8 +346,10 @@ def ciphertext_suite_experiment(
     Each sequence uses a fresh random key and IV; the plaintext is random,
     all zeros, or all ones.  Defaults mirror the reference experiment:
     order-16 key, 400-bit IV, 4000-bit messages.  An IV or a message over
-    :data:`MAX_MESSAGE_BITS` bits raises ``ValueError``.
+    :data:`MAX_MESSAGE_BITS` bits, or a run over :data:`MAX_EXPERIMENT_BITS`
+    bits in all, raises ``ValueError`` before anything is drawn.
     """
+    _check_trials(k, leader_blocks, message_bits, plaintext, sequences)
     rng = as_rng(seed)
     out = []
     for _ in range(sequences):
@@ -451,11 +494,13 @@ def avalanche_experiment(
     4000-bit random plaintext, 10 experiments over 10 flip positions (for
     the key target, ``flips_per_experiment`` swaps per experiment, by
     default one per flip position).  Flip positions are checked against
-    the bits of the plaintext or the IV before anything is drawn, and an IV
-    or a message over :data:`MAX_MESSAGE_BITS` bits raises ``ValueError``.
+    the bits of the plaintext or the IV before anything is drawn.  An IV or
+    a message over :data:`MAX_MESSAGE_BITS` bits, or experiments x flips x
+    message bits over :data:`MAX_EXPERIMENT_BITS`, raises ``ValueError``.
     """
     flips = flips_per_experiment or len(positions)
     _check_flips(target, positions, flips, leader_blocks * k if target == "iv" else message_bits)
+    _check_trials(k, leader_blocks, message_bits, "random", experiments * flips)
     rng = as_rng(seed)
     rows = []
     for _ in range(experiments):
@@ -491,7 +536,7 @@ OPCOUNT_DISCREPANCY_NOTE = (
 
 
 # the most lookups ``sebq analyze opcount`` counts, n*l: the counted loop
-# runs in Python at some 150 ns a lookup, after drawing l symbols with randrange
+# runs in Python at some 150 ns a lookup
 MAX_COUNTED_LOOKUPS = 1 << 20
 
 

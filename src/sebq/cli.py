@@ -163,8 +163,8 @@ def cmd_analyze_opcount(args) -> int:
                      f"{analysis.MAX_COUNTED_LOOKUPS} counted lookups")
     key = keygen(args.k, args.seed if args.seed is not None else 0)
     rng = as_rng(args.seed)
-    iv = [rng.randrange(key.order) for _ in range(args.n)]
-    msg = [rng.randrange(key.order) for _ in range(args.l)]
+    iv = analysis._draw_below(rng, key.order, args.n).tolist()
+    msg = analysis._draw_below(rng, key.order, args.l).tolist()
     lookups, xors = analysis.instrumented_counts(key, iv, msg)
     print(ops)
     print(f"per direction: {ops}; full round trip: {2 * ops}")

@@ -507,7 +507,8 @@ class PartialLatinSquare:
     cells: np.ndarray
 
     def __post_init__(self):
-        arr = _as_square_array(self.cells, lowest=-1)
+        # a copy, so the caller's array stays writable and cannot change the grid
+        arr = _as_square_array(self.cells, lowest=-1).copy()
         repeat = _first_repeat(arr)
         if repeat is not None:
             raise ValueError(f"known cells repeat a symbol in {repeat.axis} {repeat.index}")

@@ -550,6 +550,11 @@ class TestAnalysisSizeCaps:
             (["opcount", "--n", "2", "--k", "2", "--l", BIG], "--n 2 times --l 10000000000"),
             (["opcount", "--n", BIG, "--k", "2", "--l", "2"], "--n 10000000000 times --l 2"),
             (["secure-order", "--bits", BIG], "target_bits 10000000000"),
+            (["stats", "--trials", BIG], "10000000000 encryptions of 4000 bits"),
+            (["avalanche", "--target", "key", "--positions", BIG, "--trials", BIG],
+             "10000000000 encryptions of 4000 bits"),
+            (["avalanche", "--target", "plaintext", "--trials", BIG],
+             "10000000000 encryptions of 4000 bits"),
         ],
     )
     def test_exit_1_before_drawing(self, capsys, monkeypatch, argv, message):
@@ -581,3 +586,22 @@ class TestAnalysisSizeCaps:
         code, out, err = run(capsys, "analyze", *argv)
         assert code == 0 and err == ""
         assert out
+
+    @pytest.mark.parametrize(
+        "argv, bits",
+        [
+            (["stats", "--n", "4", "--trials", "2", "--bits", "400"], 800),
+            (["avalanche", "--target", "key", "--n", "4", "--bits", "400", "--positions", "2",
+              "--trials", "2"], 800),
+            (["avalanche", "--target", "iv", "--n", "4", "--bits", "400", "--positions", "2",
+              "--trials", "4"], 1600),
+        ],
+    )
+    def test_experiment_bits_cap_is_inclusive(self, capsys, monkeypatch, argv, bits):
+        monkeypatch.setattr("sebq.analysis.MAX_EXPERIMENT_BITS", bits)
+        code, out, err = run(capsys, "analyze", *argv, "--seed", "1")
+        assert code == 0 and err == "" and out
+        monkeypatch.setattr("sebq.analysis.MAX_EXPERIMENT_BITS", bits - 1)
+        code, out, err = run(capsys, "analyze", *argv, "--seed", "1")
+        assert code == 1 and out == ""
+        assert err == f"error: {bits // 400} encryptions of 400 bits is over the cap of {bits - 1} bits\n"

@@ -165,6 +165,13 @@ class TestOneGridCoercion:
         with pytest.raises(StructureError, match="square and non-empty"):
             PartialLatinSquare([[0, -1]])
 
+    def test_partial_leaves_the_callers_array_writable(self):
+        cells = np.array([[0, -1], [-1, 0]], dtype=np.int64)
+        partial = PartialLatinSquare(cells)
+        cells[0, 1] = 1
+        assert partial.cells.tolist() == [[0, -1], [-1, 0]]
+        assert not partial.cells.flags.writeable
+
     def test_permanent_of_bool_float_and_int_forms(self):
         rng = random.Random(7)
         for n in range(1, 7):
