@@ -1,4 +1,4 @@
-"""The chained step, the key walk and the key-file parse compiled from C, loaded with :mod:`ctypes`.
+"""The chained step, the key walk, the key-file parse and the Latin scan compiled from C, loaded with :mod:`ctypes`.
 
 The chained step below is written once per direction and run by two
 entry points, each taking the direction as ``inverse``.  ``sebq_chain`` is
@@ -16,14 +16,21 @@ same key on either side.  ``sebq_parse_table`` reads the table body of a
 key file written exactly as :func:`sebq.formats.key_to_text` writes it
 into an ``int64`` array in one pass, and refuses any other text without
 reading past it; :func:`sebq.formats.key_from_text` then runs its
-reference parse instead, which alone refuses key files.  The source is
-compiled once with ``cc`` into ``$XDG_CACHE_HOME/sebq/`` (default
-``~/.cache/sebq/``), under a name made from the SHA-256 of the source, the
-flags and the platform; each new build deletes the kernels there built
-over 30 days before it.  Without a compiler or a writable cache
-:func:`load` returns ``None`` and the Python loops and parse, which stay
-the reference, run instead.  :func:`kernel` is the one
-loaded copy the package shares.
+reference parse instead, which alone refuses key files.
+``sebq_first_repeat`` is the Latin scan of :func:`sebq.latin._first_repeat`:
+one row-major pass over an ``n x n`` ``int64`` grid, with ``n * n`` bytes
+of seen-marks, that finds the first row, else the first column, repeating
+a symbol.  ``sebq_positions`` is the scatter of
+:func:`sebq.latin._positions`, the column of each symbol in each row, which
+on a Latin square is the left-division table.  Both take grids of symbols
+in ``-1..n-1``, skip the ``-1`` cells, and return an error at any other
+symbol before indexing with it.  The source is compiled once with ``cc``
+into ``$XDG_CACHE_HOME/sebq/`` (default ``~/.cache/sebq/``), under a name
+made from the SHA-256 of the source, the flags and the platform; each new
+build deletes the kernels there built over 30 days before it.  Without a
+compiler or a writable cache :func:`load` returns ``None`` and the Python
+loops and parse and the numpy scan and scatter, which stay the reference,
+run instead.  :func:`kernel` is the one loaded copy the package shares.
 """
 
 from __future__ import annotations
@@ -229,6 +236,56 @@ int sebq_parse_table(const char *buf, size_t len, int64_t n, int64_t *out)
         }
     return p == end ? 0 : -1;
 }
+
+/* the first line of the n x n row-major grid a, of symbols in -1..n-1,
+   that repeats a symbol, skipping -1 cells: row i as i, else column j as
+   n + j, else -1.  One row-major pass, so the first row found to repeat is
+   the first such row; the first column is the least found.  seen is n * n
+   zeroed bytes of scratch: bit 0 of seen[j * n + s] marks s seen in column
+   j, and bit 1 of seen[s] marks s seen in the current row.  Returns -2 at
+   the first symbol outside -1..n-1 it reaches, before indexing with it. */
+int64_t sebq_first_repeat(const int64_t *a, int64_t n, uint8_t *seen)
+{
+    int64_t col = -1;
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t s = 0; s < n; s++)
+            seen[s] &= 1;
+        for (int64_t j = 0; j < n; j++) {
+            int64_t s = a[i * n + j];
+            if (s == -1)
+                continue;
+            if (s < -1 || s >= n)
+                return -2;
+            if (seen[s] & 2)
+                return i;
+            seen[s] |= 2;
+            if (!(seen[j * n + s] & 1))
+                seen[j * n + s] |= 1;
+            else if (col < 0 || j < col)
+                col = j;
+        }
+    }
+    return col < 0 ? -1 : n + col;
+}
+
+/* out[i * n + s] = the column of s in row i of the m x n row-major grid a,
+   of symbols in -1..n-1, or -1 where row i lacks s; where a row repeats s,
+   its last column stands.  Returns -1 at the first symbol outside -1..n-1,
+   before indexing with it, leaving out partly written; else 0. */
+int sebq_positions(const int64_t *a, int64_t m, int64_t n, int64_t *out)
+{
+    for (int64_t i = 0; i < m * n; i++)
+        out[i] = -1;
+    for (int64_t i = 0; i < m; i++)
+        for (int64_t j = 0; j < n; j++) {
+            int64_t s = a[i * n + j];
+            if (s < -1 || s >= n)
+                return -1;
+            if (s >= 0)
+                out[i * n + s] = j;
+        }
+    return 0;
+}
 """
 
 FLAGS = ("-O2", "-shared", "-fPIC")
@@ -240,6 +297,8 @@ _EXPORTS = (
     ("sebq_cca2", [_P, _P, ctypes.c_int, _P, _N, _P, _N, _P, _P, _N, _P, _P, _N, ctypes.c_int], None),
     ("sebq_walk", [_P, _P, _P, _I64, _I64, _P, _I64, _P, _I64, _P, _P, _I64], ctypes.c_int),
     ("sebq_parse_table", [ctypes.c_char_p, _N, _I64, _P], ctypes.c_int),
+    ("sebq_first_repeat", [_P, _I64, _P], _I64),
+    ("sebq_positions", [_P, _I64, _I64, _P], ctypes.c_int),
 )
 
 
@@ -250,7 +309,8 @@ def _check_table(table: np.ndarray, k: int) -> None:
 
 
 class Kernel:
-    """The compiled loops of one loaded library: plain and cca2, each way, the key walk and the key-file parse."""
+    """The compiled loops of one loaded library: plain and cca2, each way, the key walk,
+    the key-file parse, the Latin scan and the symbol-position scatter."""
 
     def __init__(self, lib: ctypes.CDLL):
         fns = []
@@ -258,7 +318,7 @@ class Kernel:
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = argtypes, restype
             fns.append(fn)
-        self._chain, self._cca2, self._walk, self._parse = fns
+        self._chain, self._cca2, self._walk, self._parse, self._first_repeat, self._positions = fns
 
     def run(self, table: np.ndarray, k: int, state, blocks, inverse: bool = False):
         """``(blocks_out, final_state)`` as ``uint8`` arrays, like the Python loops.
@@ -348,6 +408,39 @@ class Kernel:
         if self._parse(body, len(body), order, table.ctypes.data) < 0:
             return None
         return table
+
+    def first_repeat(self, grid: np.ndarray) -> int:
+        """The first line of ``grid`` that repeats a known symbol: row ``i`` as
+        ``i``, else column ``j`` as ``n + j``, else ``-1``.
+
+        ``grid`` is a contiguous ``n x n`` ``int64`` array of symbols in
+        ``-1..n-1``; ``-1`` cells are unknown.  A symbol outside that range
+        raises ``ValueError``.  The scan's scratch is ``n * n`` bytes.
+        """
+        n = grid.shape[0]
+        if grid.dtype != np.int64 or grid.shape != (n, n) or not grid.flags.c_contiguous:
+            raise ValueError("grid must be a contiguous square int64 array")
+        seen = np.zeros(n * n, dtype=np.uint8)  # held here: the C side writes to it
+        line = self._first_repeat(grid.ctypes.data, n, seen.ctypes.data)
+        if line == -2:
+            raise ValueError(f"grid holds a symbol outside -1..{n - 1}")
+        return line
+
+    def positions(self, grid: np.ndarray) -> np.ndarray:
+        """``out[i, s]``, the column of ``s`` in row ``i`` of ``grid``, or ``-1`` where row ``i`` lacks ``s``.
+
+        ``grid`` is a contiguous ``m x n`` ``int64`` array of symbols in
+        ``-1..n-1``; where a row repeats a symbol its last column stands.
+        A symbol outside that range raises ``ValueError``.  ``out`` is a new
+        contiguous ``m x n`` ``int64`` array.
+        """
+        if grid.dtype != np.int64 or grid.ndim != 2 or not grid.flags.c_contiguous:
+            raise ValueError("grid must be a contiguous 2-D int64 array")
+        m, n = grid.shape
+        out = np.empty((m, n), dtype=np.int64)
+        if self._positions(grid.ctypes.data, m, n, out.ctypes.data) < 0:
+            raise ValueError(f"grid holds a symbol outside -1..{n - 1}")
+        return out
 
 
 def _cache_dir() -> str:

@@ -411,24 +411,28 @@ def _hamming_pct(a: np.ndarray, b: np.ndarray) -> float:
     return 100.0 * float(np.count_nonzero(a != b)) / a.size
 
 
-def _check_flips(target: str, positions, trials: int, nbits: int) -> None:
-    """Refuse an avalanche run with nothing to perturb, or a flip position
-    outside the ``nbits`` bits its target holds.
+def _check_flips(target: str, positions, trials: int, iv_bits: int, message_bits: int) -> None:
+    """Refuse an avalanche run with nothing to perturb, a flip position
+    outside the bits its target holds, or an empty message.
 
     Stops at the first bad position, so a ``range`` from 0 is read no
-    further than ``nbits``.
+    further than the target's bits.
     """
     if target == "key":
         if trials < 1:
             raise ValueError("key avalanche needs at least one swap")
-        return
-    if target not in ("plaintext", "iv"):
+    elif target not in ("plaintext", "iv"):
         raise ValueError(f"unknown avalanche target {target!r}")
-    if positions is None or len(positions) == 0:
-        raise ValueError(f"{target} avalanche needs flip positions")
-    bad = next((p for p in positions if not 0 <= p < nbits), None)
-    if bad is not None:
-        raise ValueError(f"flip position {bad} out of range")
+    else:
+        if positions is None or len(positions) == 0:
+            raise ValueError(f"{target} avalanche needs flip positions")
+        nbits = iv_bits if target == "iv" else message_bits
+        bad = next((p for p in positions if not 0 <= p < nbits), None)
+        if bad is not None:
+            raise ValueError(f"flip position {bad} out of range")
+    # the change is a share of the ciphertext's bits, which an empty message has none of
+    if message_bits < 1:
+        raise ValueError(f"{target} avalanche needs a message of at least one bit, got {message_bits}")
 
 
 def _flip_percents(target: str, key: SebqKey, iv: list, bits, positions, trials: int, rng) -> list:
@@ -470,7 +474,7 @@ def avalanche(
     """
     bits = _bits(message_bits)
     iv = list(iv)
-    _check_flips(target, positions, trials, len(iv) * key.k if target == "iv" else bits.size)
+    _check_flips(target, positions, trials, len(iv) * key.k, bits.size)
     percents = _flip_percents(target, key, iv, bits, positions, trials, as_rng(seed))
     return AvalancheReport(
         target, np.asarray(percents, dtype=np.float64).reshape(1, -1), tuple(positions or ())
@@ -499,7 +503,7 @@ def avalanche_experiment(
     message bits over :data:`MAX_EXPERIMENT_BITS`, raises ``ValueError``.
     """
     flips = flips_per_experiment or len(positions)
-    _check_flips(target, positions, flips, leader_blocks * k if target == "iv" else message_bits)
+    _check_flips(target, positions, flips, leader_blocks * k, message_bits)
     _check_trials(k, leader_blocks, message_bits, "random", experiments * flips)
     rng = as_rng(seed)
     rows = []

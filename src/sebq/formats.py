@@ -92,7 +92,7 @@ EXPANDER_SPONGE = 0x00
 MAX_LOOKUPS_PER_BLOCK = 4096
 
 # the header and order lines of a canonical key file, for each power-of-two order up to 2**MAX_SYMBOL_BITS
-_CANONICAL_HEADS = {f"{KEY_HEADER}\n{1 << k}\n": 1 << k for k in range(MAX_SYMBOL_BITS + 1)}
+_CANONICAL_HEADS = {f"{KEY_HEADER}\n{1 << k}\n".encode(): 1 << k for k in range(MAX_SYMBOL_BITS + 1)}
 
 _HEADERS = {FRAME_V1: struct.Struct(">4sBBHQ"), FRAME_V2: struct.Struct(">4sBBHHBQ")}
 
@@ -121,9 +121,12 @@ def key_to_text(key: SebqKey) -> str:
 
 
 def key_from_text(text: str) -> SebqKey:
-    table = _canonical_table(text)
-    if table is None:
-        table = _reference_table(text)
+    # a non-ASCII character becomes "?", which no canonical file holds
+    table = _canonical_table(text.encode("ascii", "replace"))
+    return _key_from_table(_reference_table(text) if table is None else table)
+
+
+def _key_from_table(table) -> SebqKey:
     # LatinSquare rejects ragged rows, out-of-range symbols and repeats
     try:
         return SebqKey.from_square(LatinSquare(table))
@@ -131,20 +134,14 @@ def key_from_text(text: str) -> SebqKey:
         raise KeyFileError(str(exc)) from None
 
 
-def _canonical_table(text: str) -> np.ndarray | None:
-    """The table of canonical key-file ``text``, read by the compiled kernel; else ``None``."""
+def _canonical_table(data: bytes) -> np.ndarray | None:
+    """The table of canonical key-file ``data``, read by the compiled kernel; else ``None``."""
     kernel = _ckernel.kernel()
     if kernel is None:
         return None
-    split = text.find("\n", len(KEY_HEADER) + 1) + 1
-    order = _CANONICAL_HEADS.get(text[:split])
-    if order is None:
-        return None
-    try:
-        body = text[split:].encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    return kernel.parse_table(body, order)
+    split = data.find(b"\n", len(KEY_HEADER) + 1) + 1
+    order = _CANONICAL_HEADS.get(data[:split])
+    return None if order is None else kernel.parse_table(data[split:], order)
 
 
 def _reference_table(text: str) -> list[np.ndarray]:
@@ -178,11 +175,17 @@ def save_key(path, key: SebqKey) -> str:
 
 
 def load_key(path) -> SebqKey:
+    # read once as bytes: the compiled parse takes them as they are, and only
+    # the reference parse needs text
     try:
-        with open(path, "r", encoding="ascii") as fp:
-            return key_from_text(fp.read())
+        with open(path, "rb") as fp:
+            data = fp.read()
+        table = _canonical_table(data)
+        if table is None:
+            table = _reference_table(data.decode("ascii"))
     except (OSError, UnicodeDecodeError) as exc:
         raise KeyFileError(f"cannot read key file: {exc}") from None
+    return _key_from_table(table)
 
 
 def key_fingerprint(key: SebqKey) -> str:

@@ -135,13 +135,19 @@ def _positions(arr: np.ndarray) -> np.ndarray:
 
     ``arr`` is an ``(m, n)`` ``int64`` array of symbols in ``-1..n-1``.
     ``out[i, s]`` is the column of ``s`` in row ``i``, or ``-1`` where row
-    ``i`` lacks ``s``; a ``-1`` cell lands in a spare column that is then
-    dropped.  Where a row repeats a symbol, one of its columns stands, so
-    the row shows fewer symbols than it has known cells.  On a Latin square
-    each row of ``out`` is the inverse permutation of its row of ``arr``:
-    the left-division table.  The result is a view that drops the spare
-    column, so it is not contiguous.
+    ``i`` lacks ``s``.  Where a row repeats a symbol, its last column
+    stands, so the row shows fewer symbols than it has known cells.  On a
+    Latin square each row of ``out`` is the inverse permutation of its row
+    of ``arr``: the left-division table.  The result is a new array, not
+    always contiguous: a caller that needs it so makes it so.
+
+    Runs as ``sebq_positions`` in C when the compiled kernel loads, else
+    in numpy, the reference, where a ``-1`` cell lands in a spare column
+    that is then dropped.
     """
+    kernel = _kernel()
+    if kernel is not None:
+        return kernel.positions(np.ascontiguousarray(arr))
     m, n = arr.shape
     out = np.full((m, n + 1), -1, dtype=np.int64)
     out[np.arange(m)[:, None], arr] = np.arange(n)
@@ -152,21 +158,37 @@ def _first_repeat(arr: np.ndarray) -> Optional[LatinViolation]:
     """The first row, else the first column, where a known symbol repeats.
 
     ``arr`` is a square ``int64`` array of symbols in ``-1..n-1``; cells of
-    ``-1`` are unknown.  A line repeats a symbol when :func:`_positions`
-    finds fewer symbols in it than it has known cells; the symbol reported
-    is the first seen twice on the first such line.
+    ``-1`` are unknown.  The line is found by ``sebq_first_repeat`` in C
+    when the compiled kernel loads, else by :func:`_repeat_line`, the
+    reference; the symbol reported is the first seen twice on that line.
     """
-    for axis, lines in (("row", arr), ("column", arr.T)):
+    kernel = _kernel()
+    line = _repeat_line(arr) if kernel is None else kernel.first_repeat(np.ascontiguousarray(arr))
+    if line < 0:
+        return None
+    n = arr.shape[0]
+    axis, known = ("row", arr[line]) if line < n else ("column", arr[:, line - n])
+    seen = set()
+    for s in known[known >= 0].tolist():
+        if s in seen:
+            return LatinViolation(axis, line % n, s)
+        seen.add(s)
+
+
+def _repeat_line(arr: np.ndarray) -> int:
+    """The line :func:`_first_repeat` reports, in numpy: row ``i`` as ``i``,
+    else column ``j`` as ``n + j``, else ``-1``.
+
+    A line repeats a symbol when :func:`_positions` finds fewer symbols in
+    it than it has known cells.
+    """
+    n = arr.shape[0]
+    for base, lines in ((0, arr), (n, arr.T)):
         short = (_positions(lines) >= 0).sum(axis=1) < (lines >= 0).sum(axis=1)
         bad = np.flatnonzero(short)
         if bad.size:
-            i = int(bad[0])
-            seen = set()
-            for s in lines[i][lines[i] >= 0].tolist():
-                if s in seen:
-                    return LatinViolation(axis, i, s)
-                seen.add(s)
-    return None
+            return base + int(bad[0])
+    return -1
 
 
 def is_latin_square(table) -> bool:

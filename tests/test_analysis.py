@@ -329,3 +329,9 @@ class TestBatteryPinned:
         passed = {r.name: r.passed for r in randomness_suite(bits, alpha=0.45)}
         assert passed == {name: p >= 0.45 for name, p in self.P_VALUES.items()}
         assert set(passed.values()) == {True, False}
+
+
+@pytest.mark.parametrize("target, kwargs", [("iv", {"positions": [0]}), ("key", {"trials": 1})])
+def test_avalanche_refuses_an_empty_message(target, kwargs):
+    with pytest.raises(ValueError, match=f"^{target} avalanche needs a message of at least one bit, got 0$"):
+        avalanche(target, keygen(4, 2), [0], [], **kwargs)

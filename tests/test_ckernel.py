@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,3 +331,108 @@ def test_python_fallback_walks_to_the_same_key(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120, check=True).stdout.split()
     assert out == ["python", key_fingerprint(keygen(8, 21))]
+
+
+def scan_grids():
+    """Seeded grids for the Latin scan and scatter: full squares of k 0..8 and of orders
+    up to 12 that are not powers of two, each whole, with one cell changed (a repeat in a
+    row and a column), with two cells of a row swapped (repeats in columns only) or of a
+    column swapped (repeats in rows only), and with unknown ``-1`` cells."""
+    rng = random.Random(2020)
+    orders = [1 << k for k in range(9)] + [n for n in range(1, 13) if n & (n - 1)]
+    for n in orders:
+        for _ in range(6 if n <= 16 else 2):
+            square = latin.random_latin_square(n, rng.randrange(2**32)).table
+            grids = [square.copy() for _ in range(4)]
+            i, j, j2 = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            grids[1][i, j] = rng.randrange(n)
+            grids[2][i, [j, j2]] = grids[2][i, [j2, j]]
+            grids[3][[j, j2], i] = grids[3][[j2, j], i]
+            for grid in grids:
+                yield grid
+                partial = grid.copy()
+                partial[np.array([[rng.random() < 0.3 for _ in range(n)] for _ in range(n)])] = -1
+                yield partial
+
+
+def both_backends(monkeypatch, fn, grid):
+    got = fn(grid)
+    with monkeypatch.context() as m:
+        m.setattr(latin, "_kernel", lambda: None)
+        return got, fn(grid)
+
+
+@compiled
+def test_latin_scan_and_scatter_match_numpy_reference(monkeypatch):
+    axes = set()
+    for grid in scan_grids():
+        n = grid.shape[0]
+        padded = np.full((n + 1, n + 2), 7, dtype=np.int64)
+        padded[1:, 1:-1] = grid
+        # the grid as it is, transposed, reversed, in Fortran order and as a slice of a larger array
+        for view in (grid, grid.T, grid[::-1], np.asfortranarray(grid), padded[1:, 1:-1]):
+            got, want = both_backends(monkeypatch, latin._first_repeat, view)
+            assert got == want
+            axes.add(want and want.axis)
+            got, want = both_backends(monkeypatch, latin._positions, view)
+            assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+    assert axes == {None, "row", "column"}
+
+
+@compiled
+def test_order_256_latin_square_is_one_scan_call(monkeypatch):
+    table = latin.random_latin_square(256, 9).table.copy()
+    calls = []
+    scan = _ckernel.Kernel.first_repeat
+    monkeypatch.setattr(_ckernel.Kernel, "first_repeat", lambda self, grid: calls.append(1) or scan(self, grid))
+    latin.LatinSquare(table)
+    assert calls == [1]
+
+
+@compiled
+def test_scan_and_scatter_refuse_misshapen_grids():
+    kernel = transforms._kernel()
+    int32, flat = np.zeros((4, 4), dtype=np.int32), np.zeros(16, dtype=np.int64)
+    strided = np.zeros((8, 8), dtype=np.int64)[::2, ::2]
+    for bad in (int32, flat, strided, np.zeros((4, 5), dtype=np.int64)):
+        with pytest.raises(ValueError, match="contiguous square int64"):
+            kernel.first_repeat(bad)
+    for bad in (int32, flat, strided):  # the scatter takes any m x n grid
+        with pytest.raises(ValueError, match="contiguous 2-D int64"):
+            kernel.positions(bad)
+
+
+@compiled
+@pytest.mark.parametrize("symbol", [8, 9, -2, 2**40, -(2**40)])
+def test_scan_and_scatter_refuse_symbols_out_of_range_without_writing_past(symbol):
+    kernel = transforms._kernel()
+    n, guard = 8, 64
+    grid = (np.arange(n)[:, None] + np.arange(n)) % n
+    grid[-1, -1] = symbol
+    with pytest.raises(ValueError, match="outside -1..7"):
+        kernel.first_repeat(grid)
+    with pytest.raises(ValueError, match="outside -1..7"):
+        kernel.positions(grid)
+    # the raw entries, on buffers followed by a guard that must stay as it was
+    seen = np.zeros(n * n + guard, dtype=np.uint8)
+    seen[n * n:] = 0xA5
+    assert kernel._first_repeat(grid.ctypes.data, n, seen.ctypes.data) == -2
+    assert (seen[n * n:] == 0xA5).all()
+    out = np.full(n * n + guard, 12345, dtype=np.int64)
+    assert kernel._positions(grid.ctypes.data, n, n, out.ctypes.data) == -1
+    assert (out[n * n:] == 12345).all()
+
+
+@compiled
+def test_scan_scratch_is_at_most_n_squared_bytes():
+    square = latin.random_latin_square(256, 12).table
+    corrupted = square.copy()
+    corrupted[5, [3, 9]] = corrupted[5, [9, 3]]  # repeats in columns only: the whole grid is scanned
+    for grid in (square, corrupted):
+        tracemalloc.start()
+        try:
+            latin._first_repeat(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 256 + 4096

@@ -535,7 +535,7 @@ BIG = "10000000000"
 
 
 class TestAnalysisSizeCaps:
-    """Every size option of the analysis commands, at 10**10, exits 1 before drawing."""
+    """Every size option of the analysis commands, at 10**10, and an empty avalanche message exit 1 before drawing."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -555,6 +555,10 @@ class TestAnalysisSizeCaps:
              "10000000000 encryptions of 4000 bits"),
             (["avalanche", "--target", "plaintext", "--trials", BIG],
              "10000000000 encryptions of 4000 bits"),
+            (["avalanche", "--target", "iv", "--bits", "0", "--n", "4", "--positions", "1", "--trials", "1"],
+             "iv avalanche needs a message of at least one bit, got 0"),
+            (["avalanche", "--target", "key", "--bits", "0", "--n", "4", "--positions", "1", "--trials", "1"],
+             "key avalanche needs a message of at least one bit, got 0"),
         ],
     )
     def test_exit_1_before_drawing(self, capsys, monkeypatch, argv, message):
