@@ -64,20 +64,42 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be in 1..{MAX_SYMBOL_BITS}, got {k}")
 
 
-@dataclass(frozen=True)
 class SebqKey:
-    """Secret key: a quasigroup of order ``2**k`` over k-bit symbols, ``k`` read off the order."""
+    """Secret key: a quasigroup of order ``2**k`` over k-bit symbols, ``k`` read off the order.
 
-    q: Quasigroup
+    ``SebqKey(q)`` holds the quasigroup ``q``.  A key the compiled parse
+    reads from a key file holds only the two ``uint8`` tables the compiled
+    loops read (see :meth:`_from_tables`); its ``q``, the ``int64``
+    :class:`Quasigroup` the Python loops and the sponge read, is built from
+    them on first use, with no second Latin scan.  ``order`` and ``k``
+    never need ``q``.  Immutable; two keys are equal when their
+    multiplication tables are.
+    """
 
-    def __post_init__(self):
-        if self.order != 1 << self.k:
+    def __init__(self, q: Quasigroup):
+        self._hold(q.order, q=q)
+
+    @classmethod
+    def _from_tables(cls, mul: np.ndarray, ldiv: np.ndarray) -> "SebqKey":
+        """The key of ``mul``, a contiguous ``uint8`` Latin square, and ``ldiv``, its left-division table.
+
+        Both are held as they are, frozen, with no scan: the caller has
+        checked ``mul`` and scattered ``ldiv`` from it.
+        """
+        for t in (mul, ldiv):
+            t.setflags(write=False)
+        key = object.__new__(cls)
+        key._hold(len(mul), _tables=(mul, ldiv))
+        return key
+
+    def _hold(self, order: int, **held) -> None:
+        vars(self).update(order=order, **held)
+        if order != 1 << self.k:
             raise ValueError("key square order must be a power of two")
         _check_k(self.k)
 
-    @property
-    def order(self) -> int:
-        return self.q.order
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def k(self) -> int:
@@ -89,9 +111,26 @@ class SebqKey:
         return self
 
     @cached_property
+    def q(self) -> Quasigroup:
+        """The quasigroup, from a loaded key's tables: widened to ``int64``, not scanned again."""
+        mul, ldiv = (LatinSquare._of(t.astype(np.int64), checked=True) for t in self._tables)
+        return Quasigroup._pair(mul, ldiv)
+
+    @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The mul and ldiv tables as contiguous ``uint8`` arrays, for the compiled loop."""
         return tuple(np.ascontiguousarray(t.table, dtype=np.uint8) for t in (self.q.mul, self.q.ldiv))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SebqKey):
+            return NotImplemented
+        return np.array_equal(self._tables[0], other._tables[0])
+
+    def __hash__(self) -> int:
+        return hash(self._tables[0].tobytes())
+
+    def __repr__(self) -> str:
+        return f"SebqKey(order={self.order})"
 
     @classmethod
     def from_square(cls, square: LatinSquare) -> "SebqKey":

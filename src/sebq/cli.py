@@ -28,6 +28,10 @@ EXIT_MAGIC = 3
 EXIT_PADDING = 4
 EXIT_KEY_MISMATCH = 5
 
+# `attack cca-recover --trials`: each trial plays a game on a fresh key, and
+# --transcript keeps a record of every trial until the end
+MAX_ATTACK_TRIALS = 1 << 16
+
 # what an exception escaping a command exits with, and the prefix of its
 # message; the first match decides, so subclasses come before their bases
 _EXIT_CODES = (
@@ -214,6 +218,8 @@ def cmd_attack_cca_recover(args) -> int:
     order = _attack_order(args.k)
     if args.trials < 2:
         return _fail(EXIT_USAGE, "--trials must be at least 2")
+    if args.trials > MAX_ATTACK_TRIALS:
+        return _fail(EXIT_USAGE, f"--trials {args.trials} is over the cap of {MAX_ATTACK_TRIALS}")
     rng = as_rng(args.seed)
     factory = games.make_scheme_factory(args.scheme, args.k, 1, a=args.a)
     # the cap sebq encrypt applies, checked before a sponge builds its squeeze string
@@ -333,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--scheme", choices=("plain", "cca2"), default="plain")
     p.add_argument("--a", type=int, default=None)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=int, default=100, help=f"games to play, 2..{MAX_ATTACK_TRIALS}")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--transcript", default=None, help="JSONL transcript path")
     p.set_defaults(func=cmd_attack_cca_recover)

@@ -11,8 +11,12 @@ more.  When the compiled kernel is loaded, a file whose first two lines
 are canonical, with an order that is a power of two up to
 ``2**MAX_SYMBOL_BITS``, has its table read in one pass in C; if the rest
 is not canonical, or with no kernel, the per-row reference parse reads it,
-and only that parse refuses a file.  Both build the key the same way, so
-a file gives the same key, or the same :class:`KeyFileError`, on either.
+and only that parse refuses a file.  The compiled parse reads the table as
+``uint8``; the one Latin scan and the left-division scatter take it as it
+is, and the key holds the two ``uint8`` tables, building its ``int64``
+quasigroup only when something asks for ``key.q``.  The reference parse
+builds the key from a :class:`LatinSquare`.  Either way a file gives the
+same key, or the same :class:`KeyFileError`, with the same text.
 
 Cipher frame (big-endian): magic ``SEBQ``, version byte, ``k`` (1 byte),
 ``n`` (2 bytes), then for version 2 the expander length ``a`` (2 bytes) and
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sebq import _ckernel, feistel
+from sebq import _ckernel, feistel, latin
 from sebq.cipher import (
     MAX_SYMBOL_BITS,
     PaddingError,
@@ -116,14 +120,14 @@ class KeyFileError(ValueError):
 def key_to_text(key: SebqKey) -> str:
     names = [str(v) for v in range(key.order)]
     lines = [KEY_HEADER, str(key.order)]
-    lines += [" ".join(map(names.__getitem__, row)) for row in key.q.mul.to_lists()]
+    lines += [" ".join(map(names.__getitem__, row)) for row in key._tables[0].tolist()]
     return "\n".join(lines) + "\n"
 
 
 def key_from_text(text: str) -> SebqKey:
     # a non-ASCII character becomes "?", which no canonical file holds
-    table = _canonical_table(text.encode("ascii", "replace"))
-    return _key_from_table(_reference_table(text) if table is None else table)
+    key = _canonical_key(text.encode("ascii", "replace"))
+    return key or _key_from_table(_reference_table(text))
 
 
 def _key_from_table(table) -> SebqKey:
@@ -134,14 +138,26 @@ def _key_from_table(table) -> SebqKey:
         raise KeyFileError(str(exc)) from None
 
 
-def _canonical_table(data: bytes) -> np.ndarray | None:
-    """The table of canonical key-file ``data``, read by the compiled kernel; else ``None``."""
+def _canonical_key(data: bytes) -> SebqKey | None:
+    """The key of canonical key-file ``data``, read by the compiled kernel; else ``None``.
+
+    The table stays ``uint8`` from the parse to the key: one Latin scan,
+    then the left-division scatter.  A table that is not Latin raises
+    :class:`KeyFileError` with the text :class:`LatinSquare` gives.
+    """
     kernel = _ckernel.kernel()
     if kernel is None:
         return None
     split = data.find(b"\n", len(KEY_HEADER) + 1) + 1
     order = _CANONICAL_HEADS.get(data[:split])
-    return None if order is None else kernel.parse_table(data[split:], order)
+    mul = None if order is None else kernel.parse_table(memoryview(data)[split:], order)
+    if mul is None:
+        return None
+    try:
+        latin._check_latin(mul)
+    except ValueError as exc:
+        raise KeyFileError(str(exc)) from None
+    return SebqKey._from_tables(mul, kernel.positions(mul))
 
 
 def _reference_table(text: str) -> list[np.ndarray]:
@@ -180,12 +196,11 @@ def load_key(path) -> SebqKey:
     try:
         with open(path, "rb") as fp:
             data = fp.read()
-        table = _canonical_table(data)
-        if table is None:
-            table = _reference_table(data.decode("ascii"))
+        key = _canonical_key(data)
+        table = None if key else _reference_table(data.decode("ascii"))
     except (OSError, UnicodeDecodeError) as exc:
         raise KeyFileError(f"cannot read key file: {exc}") from None
-    return _key_from_table(table)
+    return key or _key_from_table(table)
 
 
 def key_fingerprint(key: SebqKey) -> str:

@@ -90,13 +90,14 @@ def _as_int_array(table) -> np.ndarray:
     return cast
 
 
-def _as_square_array(table, lowest: int = 0) -> np.ndarray:
+def _as_square_array(table, lowest: int = 0, keep: bool = False) -> np.ndarray:
     """Coerce to an int array and enforce the structural preconditions: a
     non-empty square of symbols in ``lowest..n-1``.
 
-    ``lowest=-1`` admits the unknown cells of a partial grid.
+    ``lowest=-1`` admits the unknown cells of a partial grid.  With
+    ``keep``, ``table`` is an array checked as it is, not coerced.
     """
-    arr = _as_int_array(table)
+    arr = table if keep else _as_int_array(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise StructureError(f"table must be square and non-empty, got shape {arr.shape}")
     n = arr.shape[0]
@@ -112,7 +113,8 @@ def validate_latin_square(table) -> Optional[LatinViolation]:
     Parameters
     ----------
     table : array_like
-        Square array of symbols in ``0..n-1``.
+        Square array of symbols in ``0..n-1``.  A ``uint8`` array is
+        scanned as it is, without being widened to ``int64``.
 
     Returns
     -------
@@ -127,19 +129,21 @@ def validate_latin_square(table) -> Optional[LatinViolation]:
         are structural defects, distinct from Latin-property violations.
     """
     # a line of n symbols in 0..n-1 that repeats none holds each once
-    return _first_repeat(_as_square_array(table))
+    full = isinstance(table, np.ndarray) and table.dtype == np.uint8
+    return _first_repeat(_as_square_array(table, keep=full))
 
 
 def _positions(arr: np.ndarray) -> np.ndarray:
     """Where each symbol sits in each row: the one scatter behind every such question.
 
-    ``arr`` is an ``(m, n)`` ``int64`` array of symbols in ``-1..n-1``.
-    ``out[i, s]`` is the column of ``s`` in row ``i``, or ``-1`` where row
-    ``i`` lacks ``s``.  Where a row repeats a symbol, its last column
-    stands, so the row shows fewer symbols than it has known cells.  On a
-    Latin square each row of ``out`` is the inverse permutation of its row
-    of ``arr``: the left-division table.  The result is a new array, not
-    always contiguous: a caller that needs it so makes it so.
+    ``arr`` is an ``(m, n)`` ``int64`` array of symbols in ``-1..n-1``, or
+    a ``uint8`` one with ``n`` at most 256.  ``out[i, s]`` is the column of
+    ``s`` in row ``i``, or ``-1`` (255 in ``uint8``) where row ``i`` lacks
+    ``s``.  Where a row repeats a symbol, its last column stands, so the
+    row shows fewer symbols than it has known cells.  On a Latin square
+    each row of ``out`` is the inverse permutation of its row of ``arr``:
+    the left-division table.  The result is a new array of ``arr``'s type,
+    not always contiguous: a caller that needs it so makes it so.
 
     Runs as ``sebq_positions`` in C when the compiled kernel loads, else
     in numpy, the reference, where a ``-1`` cell lands in a spare column
@@ -151,19 +155,23 @@ def _positions(arr: np.ndarray) -> np.ndarray:
     m, n = arr.shape
     out = np.full((m, n + 1), -1, dtype=np.int64)
     out[np.arange(m)[:, None], arr] = np.arange(n)
-    return out[:, :n]
+    return out[:, :n].astype(arr.dtype, copy=False)
 
 
 def _first_repeat(arr: np.ndarray) -> Optional[LatinViolation]:
     """The first row, else the first column, where a known symbol repeats.
 
-    ``arr`` is a square ``int64`` array of symbols in ``-1..n-1``; cells of
-    ``-1`` are unknown.  The line is found by ``sebq_first_repeat`` in C
-    when the compiled kernel loads, else by :func:`_repeat_line`, the
-    reference; the symbol reported is the first seen twice on that line.
+    ``arr`` is a square ``int64`` array of symbols in ``-1..n-1``, whose
+    cells of ``-1`` are unknown, or a full ``uint8`` square.  The line is
+    found by ``sebq_first_repeat`` in C when the compiled kernel loads, else
+    by :func:`_repeat_line`, the reference, on ``arr`` widened to
+    ``int64``; the symbol reported is the first seen twice on that line.
     """
     kernel = _kernel()
-    line = _repeat_line(arr) if kernel is None else kernel.first_repeat(np.ascontiguousarray(arr))
+    if kernel is None:
+        line = _repeat_line(arr.astype(np.int64, copy=False))
+    else:
+        line = kernel.first_repeat(np.ascontiguousarray(arr))
     if line < 0:
         return None
     n = arr.shape[0]
@@ -207,15 +215,25 @@ class LatinSquare:
     table: np.ndarray
 
     def __post_init__(self):
-        # coerced once: the scan takes the frozen int64 copy as it is
-        arr = _as_int_array(self.table).copy()
+        # a copy, so the caller's array stays writable and later writes to it
+        # do not reach the square
+        self._hold(_as_int_array(self.table).copy())
+
+    @classmethod
+    def _of(cls, arr: np.ndarray, *, checked: bool = False) -> "LatinSquare":
+        """The square over ``arr``, a new ``int64`` array no caller keeps: frozen as it is, not copied.
+
+        ``arr`` is scanned as :class:`LatinSquare` scans a table, unless
+        ``checked`` says its caller has already made sure it is Latin.
+        """
+        square = object.__new__(cls)
+        square._hold(arr, checked)
+        return square
+
+    def _hold(self, arr: np.ndarray, checked: bool = False) -> None:
         arr.setflags(write=False)
-        violation = validate_latin_square(arr)
-        if violation is not None:
-            raise ValueError(
-                f"not a Latin square: symbol {violation.symbol} repeats in "
-                f"{violation.axis} {violation.index}"
-            )
+        if not checked:
+            _check_latin(arr)
         object.__setattr__(self, "table", arr)
 
     @property
@@ -235,6 +253,16 @@ class LatinSquare:
 
     def __repr__(self) -> str:
         return f"LatinSquare(order={self.order})"
+
+
+def _check_latin(table) -> None:
+    """Raise ``ValueError`` naming the first repeat :func:`validate_latin_square` finds in ``table``, if any."""
+    violation = validate_latin_square(table)
+    if violation is not None:
+        raise ValueError(
+            f"not a Latin square: symbol {violation.symbol} repeats in "
+            f"{violation.axis} {violation.index}"
+        )
 
 
 def parastrophe(square: LatinSquare) -> LatinSquare:
@@ -272,12 +300,13 @@ class Quasigroup:
         # check compares ldiv with, so the pair is built without that check.
         # It needs no Latin scan either: a repeat in one of its columns would
         # be a repeat in a column of `square`
-        ldiv = object.__new__(LatinSquare)
-        table = _positions(square.table)
-        table.setflags(write=False)
-        object.__setattr__(ldiv, "table", table)
+        return cls._pair(square, LatinSquare._of(_positions(square.table), checked=True))
+
+    @classmethod
+    def _pair(cls, mul: LatinSquare, ldiv: LatinSquare) -> "Quasigroup":
+        """The quasigroup of ``mul`` and ``ldiv``, which its caller knows to be its left-division table."""
         q = object.__new__(cls)
-        object.__setattr__(q, "mul", square)
+        object.__setattr__(q, "mul", mul)
         object.__setattr__(q, "ldiv", ldiv)
         return q
 
@@ -312,7 +341,7 @@ def cyclic_latin_square(n: int) -> LatinSquare:
     if n < 1:
         raise ValueError("order must be positive")
     idx = np.arange(n)
-    return LatinSquare((idx[:, None] + idx[None, :]) % n)
+    return LatinSquare._of((idx[:, None] + idx[None, :]) % n)
 
 
 def xor_latin_square(n: int) -> LatinSquare:
@@ -320,7 +349,7 @@ def xor_latin_square(n: int) -> LatinSquare:
     if n < 1 or n & (n - 1):
         raise ValueError("XOR table needs a power-of-two order")
     idx = np.arange(n)
-    return LatinSquare(idx[:, None] ^ idx[None, :])
+    return LatinSquare._of(idx[:, None] ^ idx[None, :])
 
 
 _BUF = 8192  # draws per buffer of the walk
@@ -357,7 +386,7 @@ def random_latin_square(order: int, seed: SeedLike = None) -> LatinSquare:
     rng = as_rng(seed)
     n = order
     if n == 1:
-        return LatinSquare(np.zeros((1, 1), dtype=np.int64))
+        return LatinSquare._of(np.zeros((1, 1), dtype=np.int64))
 
     rows = list(range(n))
     cols = list(range(n))
@@ -384,11 +413,11 @@ def random_latin_square(order: int, seed: SeedLike = None) -> LatinSquare:
 
     kernel = _kernel()
     if kernel is None:
-        return LatinSquare(_walk_python(L, col_of, row_of, steps, gen, cells, adds))
+        return LatinSquare._of(_walk_python(L, col_of, row_of, steps, gen, cells, adds))
     # gen is this call's own, so no other thread draws from it while the C
     # walk does with the GIL released
     kernel.walk(L, col_of, row_of, steps, cells, adds, _BUF, gen)
-    return LatinSquare(L)
+    return LatinSquare._of(L)
 
 
 def _walk_python(L, col_of, row_of, steps, gen, cells, adds) -> np.ndarray:
@@ -502,7 +531,7 @@ def intercalate_swap(square: LatinSquare, seed: SeedLike = None) -> LatinSquare:
     out = T.copy()
     out[r1, c1], out[r1, c2] = T[r1, c2], T[r1, c1]
     out[r2, c1], out[r2, c2] = T[r2, c2], T[r2, c1]
-    return LatinSquare(out)
+    return LatinSquare._of(out)
 
 
 def _fill(grid: list[list[int]], found: Callable[[list[list[int]]], object]) -> None:

@@ -8,7 +8,7 @@ import pytest
 
 from sebq.analysis import MAX_COUNTED_LOOKUPS, MAX_MESSAGE_BITS, MAX_TARGET_BITS
 from sebq.cipher import encrypt, pack_bits
-from sebq.cli import build_parser, main
+from sebq.cli import MAX_ATTACK_TRIALS, build_parser, main
 from sebq.formats import decode_frame, encode_frame, load_key
 
 
@@ -348,6 +348,23 @@ class TestAttack:
     def test_oversized_order_rejected(self, capsys):
         code, _, _ = run(capsys, "attack", "cca-recover", "--k", "8", "--trials", "10")
         assert code == 1
+
+    @pytest.mark.parametrize("trials", [2**31, 2**64 + 1, 10**20])
+    def test_cca_recover_trials_over_cap_exit_1_before_drawing(self, capsys, monkeypatch, tmp_path, trials):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew a key before refusing --trials")
+
+        monkeypatch.setattr("sebq.games.make_scheme_factory", refuse)
+        monkeypatch.setattr("sebq.games.keygen", refuse)
+        code, out, err = run(
+            capsys, "attack", "cca-recover", "--k", "2", "--trials", str(trials),
+            "--seed", "1", "--transcript", str(tmp_path / "t.jsonl"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --trials {trials} is over the cap of {MAX_ATTACK_TRIALS}\n"
+        assert "Traceback" not in err
+        assert not (tmp_path / "t.jsonl").exists()
 
 
 class TestUsage:

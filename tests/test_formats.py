@@ -254,6 +254,94 @@ class TestKeyFileBounds:
         assert key_fingerprint(key_from_text(text)) == key_fingerprint(key)
 
 
+def _table_text(rows):
+    """A key file holding ``rows`` in the canonical form, whatever the rows are."""
+    return f"SEBQ-LSQ v1\n{len(rows)}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+@compiled
+class TestUint8KeyPath:
+    """The canonical key path, ``uint8`` from the parse to the key, against the ``int64`` reference parse."""
+
+    @staticmethod
+    def reference(load, arg):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_ckernel, "kernel", lambda: None)
+            return load(arg)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_load_key_matches_reference_parse(self, k, tmp_path):
+        path = tmp_path / "key.lsq"
+        save_key(path, keygen(k, 500 + k))
+        got, want = load_key(path), self.reference(load_key, path)
+        assert all(t.dtype == np.uint8 and t.flags.c_contiguous for t in got._tables)
+        assert [t.tobytes() for t in got._tables] == [t.tobytes() for t in want._tables]
+        assert key_fingerprint(got) == key_fingerprint(want)
+        assert "q" not in vars(got)  # nothing above needed the int64 quasigroup
+        for side in ("mul", "ldiv"):
+            table, reference = getattr(got.q, side).table, getattr(want.q, side).table
+            assert table.dtype == np.int64 and not table.flags.writeable
+            assert np.array_equal(table, reference)
+
+    @pytest.mark.parametrize("edit", ["row", "column", "symbol"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_canonical_refusals_match_reference(self, k, edit, monkeypatch):
+        rows = keygen(k, 600 + k).q.mul.table.tolist()
+        n = len(rows)
+        rng = random.Random(k)
+        i, j = rng.randrange(n), rng.randrange(n)
+        j2 = (j + 1 + rng.randrange(n - 1)) % n
+        if edit == "row":  # a cell takes its neighbour's symbol: a repeat in its row and its column
+            rows[i][j] = rows[i][j2]
+            refusal = f"not a Latin square: symbol {rows[i][j2]} repeats in row {i}"
+        elif edit == "column":  # two cells of a row swap: repeats in their columns only
+            rows[i][j], rows[i][j2] = rows[i][j2], rows[i][j]
+            refusal = "not a Latin square: symbol "
+        else:
+            rows[i][j] = n
+            refusal = f"symbol {n} out of range 0..{n - 1}"
+        text = _table_text(rows)
+        if edit != "symbol":  # the compiled parse reads these; only the scan refuses them
+            monkeypatch.setattr(formats, "_reference_table", lambda text: pytest.fail("the reference parse ran"))
+        with pytest.raises(KeyFileError) as got:
+            key_from_text(text)
+        monkeypatch.undo()
+        with pytest.raises(KeyFileError) as want:
+            self.reference(key_from_text, text)
+        assert str(got.value) == str(want.value)
+        assert str(want.value).startswith(refusal)
+        assert (" repeats in column " in str(want.value)) == (edit == "column")
+
+
+@compiled
+class TestKeyLoadStaysUint8:
+    """Guards for the ``uint8`` key path: no ``int64`` table on a load or a plain round trip."""
+
+    def test_k8_load_key_peak_beyond_the_file_is_under_256_kib(self, tmp_path):
+        path = tmp_path / "key.lsq"
+        save_key(path, keygen(8, 31))
+        load_key(path)  # the first call's imports and caches are not the load's
+        tracemalloc.start()
+        try:
+            load_key(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the file is read whole (234 KB at k=8); beyond it the load holds the
+        # two 64 KiB tables and, during the scan, its 64 KiB of marks.  One
+        # int64 table would be 512 KiB
+        assert peak - path.stat().st_size < 256 * 1024
+
+    def test_compiled_plain_round_trip_never_builds_q(self, tmp_path):
+        path = tmp_path / "key.lsq"
+        save_key(path, keygen(8, 32))
+        key = load_key(path)
+        data = bytes(range(256)) * 4
+        assert open_bytes(key, seal_bytes(key, data, seed=3)) == data
+        key_fingerprint(key)
+        assert "q" not in vars(key)
+
+
 class TestFrameCodec:
     def test_v1_round_trip(self):
         key = keygen(4, 3)
