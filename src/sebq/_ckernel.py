@@ -14,21 +14,20 @@ itself, from the walk's own PCG64 generator through numpy's ``ctypes``
 interface, exactly as the Python walk draws them, so a seed gives the
 same key on either side.  ``sebq_parse_table`` reads the table body of a
 key file written exactly as :func:`sebq.formats.key_to_text` writes it
-into a ``uint8`` array in one pass (a canonical order is at most 256, so
-every symbol fits a byte), and refuses any other text without reading past
-it; :func:`sebq.formats.key_from_text` then runs its reference parse
-instead, which alone refuses key files.
+into a ``uint8`` multiplication table in one pass (a canonical order is at
+most 256, so every symbol fits a byte), and refuses any other text without
+reading past it; :func:`sebq.formats.key_from_text` then runs its
+reference parse instead, which alone refuses key files.  The same pass
+scatters the left-division table and marks each symbol's row and column,
+so it also says whether the table is Latin.
 ``sebq_first_repeat`` is the Latin scan of :func:`sebq.latin._first_repeat`:
-one row-major pass over an ``n x n`` grid, with ``n * n`` bytes of
-seen-marks, that finds the first row, else the first column, repeating a
-symbol.  ``sebq_positions`` is the scatter of :func:`sebq.latin._positions`,
-the column of each symbol in each row, which on a Latin square is the
-left-division table.  Each is one body, defined by a macro over the
-element type twice: for ``int64`` grids of symbols in ``-1..n-1``, whose
-``-1`` cells it skips, and as ``sebq_first_repeat_u8`` and
-``sebq_positions_u8`` for full ``uint8`` squares, such as the parsed key
-table, which so reaches the scan and the scatter without being widened.
-Both return an error at any other symbol before indexing with it.
+one row-major pass over an ``n x n`` ``int64`` grid, with ``n * n`` bytes
+of seen-marks, that finds the first row, else the first column, repeating
+a symbol.  ``sebq_positions`` is the scatter of
+:func:`sebq.latin._positions`, the column of each symbol in each row, which
+on a Latin square is the left-division table.  Both take grids of symbols
+in ``-1..n-1``, skip the ``-1`` cells, and return an error at any other
+symbol before indexing with it.
 
 The source is compiled once with ``cc`` into ``$XDG_CACHE_HOME/sebq/``
 (default ``~/.cache/sebq/``), under a name made from the SHA-256 of the
@@ -222,13 +221,20 @@ int sebq_walk(int64_t *L, int64_t *col_of, int64_t *row_of, int64_t n, int64_t s
 /* the table body of a key file as formats.key_to_text writes it: n rows of
    n decimal symbols below n with no leading zeros, one space between
    symbols and '\n' after each row, and nothing after the last.  Writes the
-   symbols row-major to out (n x n, n at most 256, so each fits a byte) and
-   returns 0, or returns -1 at the first byte that does not fit, leaving out
-   partly written.  Reads no byte at or past buf + len. */
-int sebq_parse_table(const char *buf, size_t len, int64_t n, uint8_t *out)
+   symbols row-major to mul (n x n, n at most 256, so each fits a byte) and
+   the column of each symbol in each row to ldiv, and marks in seen, n * n
+   zeroed bytes, each symbol's row and column as sebq_first_repeat does.
+   Returns 0 when no row or column repeats a symbol, and ldiv is then the
+   left-division table; 1 when one does; or -1 at the first byte that does
+   not fit, leaving the tables partly written.  Reads no byte at or past
+   buf + len. */
+int sebq_parse_table(const char *buf, size_t len, int64_t n, uint8_t *mul, uint8_t *ldiv, uint8_t *seen)
 {
     const char *p = buf, *end = buf + len;
-    for (int64_t r = 0; r < n; r++)
+    int repeat = 0;
+    for (int64_t r = 0; r < n; r++) {
+        for (int64_t s = 0; s < n; s++)
+            seen[s] &= 1;
         for (int64_t c = 0; c < n; c++) {
             if (p == end || *p < '0' || *p > '9')
                 return -1;
@@ -238,74 +244,65 @@ int sebq_parse_table(const char *buf, size_t len, int64_t n, uint8_t *out)
                 v = v * 10 + (*p++ - '0');
             if (v >= n || p == end || *p++ != (c < n - 1 ? ' ' : '\n'))
                 return -1;
-            *out++ = (uint8_t)v;
+            *mul++ = (uint8_t)v;
+            ldiv[r * n + v] = (uint8_t)c;
+            repeat |= (seen[v] & 2) | (seen[c * n + v] & 1);
+            seen[v] |= 2;
+            seen[c * n + v] |= 1;
         }
-    return p == end ? 0 : -1;
+    }
+    return p == end ? repeat != 0 : -1;
 }
 
-/* The Latin scan and the symbol-position scatter, one body each, defined
-   below for int64_t grids, whose -1 cells are unknown, and for full uint8_t
-   squares, which have none.  Each cell is read into an int64_t, so one test
-   serves both types. */
-
-/* NAME: the first line of the n x n row-major grid a, of symbols in
-   -1..n-1, that repeats a symbol, skipping -1 cells: row i as i, else
-   column j as n + j, else -1.  One row-major pass, so the first row found
-   to repeat is the first such row; the first column is the least found.
-   seen is n * n zeroed bytes of scratch: bit 0 of seen[j * n + s] marks s
-   seen in column j, and bit 1 of seen[s] marks s seen in the current row.
-   Returns -2 at the first symbol outside -1..n-1 it reaches, before
-   indexing with it. */
-#define FIRST_REPEAT(NAME, T)                                           \
-int64_t NAME(const T *a, int64_t n, uint8_t *seen)                      \
-{                                                                       \
-    int64_t col = -1;                                                   \
-    for (int64_t i = 0; i < n; i++) {                                   \
-        for (int64_t s = 0; s < n; s++)                                 \
-            seen[s] &= 1;                                               \
-        for (int64_t j = 0; j < n; j++) {                               \
-            int64_t s = a[i * n + j];                                   \
-            if (s == -1)                                                \
-                continue;                                               \
-            if (s < -1 || s >= n)                                       \
-                return -2;                                              \
-            if (seen[s] & 2)                                            \
-                return i;                                               \
-            seen[s] |= 2;                                               \
-            if (!(seen[j * n + s] & 1))                                 \
-                seen[j * n + s] |= 1;                                   \
-            else if (col < 0 || j < col)                                \
-                col = j;                                                \
-        }                                                               \
-    }                                                                   \
-    return col < 0 ? -1 : n + col;                                      \
+/* the first line of the n x n row-major grid a, of symbols in -1..n-1,
+   that repeats a symbol, skipping -1 cells: row i as i, else column j as
+   n + j, else -1.  One row-major pass, so the first row found to repeat is
+   the first such row; the first column is the least found.  seen is n * n
+   zeroed bytes of scratch: bit 0 of seen[j * n + s] marks s seen in column
+   j, and bit 1 of seen[s] marks s seen in the current row.  Returns -2 at
+   the first symbol outside -1..n-1 it reaches, before indexing with it. */
+int64_t sebq_first_repeat(const int64_t *a, int64_t n, uint8_t *seen)
+{
+    int64_t col = -1;
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t s = 0; s < n; s++)
+            seen[s] &= 1;
+        for (int64_t j = 0; j < n; j++) {
+            int64_t s = a[i * n + j];
+            if (s == -1)
+                continue;
+            if (s < -1 || s >= n)
+                return -2;
+            if (seen[s] & 2)
+                return i;
+            seen[s] |= 2;
+            if (!(seen[j * n + s] & 1))
+                seen[j * n + s] |= 1;
+            else if (col < 0 || j < col)
+                col = j;
+        }
+    }
+    return col < 0 ? -1 : n + col;
 }
 
-/* NAME: out[i * n + s] = the column of s in row i of the m x n row-major
-   grid a, of symbols in -1..n-1, or -1 where row i lacks s (255 in a
-   uint8_t out); where a row repeats s, its last column stands.  Returns -1
-   at the first symbol outside -1..n-1, before indexing with it, leaving
-   out partly written; else 0. */
-#define POSITIONS(NAME, T)                                              \
-int NAME(const T *a, int64_t m, int64_t n, T *out)                      \
-{                                                                       \
-    for (int64_t i = 0; i < m * n; i++)                                 \
-        out[i] = (T)-1;                                                 \
-    for (int64_t i = 0; i < m; i++)                                     \
-        for (int64_t j = 0; j < n; j++) {                               \
-            int64_t s = a[i * n + j];                                   \
-            if (s < -1 || s >= n)                                       \
-                return -1;                                              \
-            if (s >= 0)                                                 \
-                out[i * n + s] = (T)j;                                  \
-        }                                                               \
-    return 0;                                                           \
+/* out[i * n + s] = the column of s in row i of the m x n row-major grid a,
+   of symbols in -1..n-1, or -1 where row i lacks s; where a row repeats s,
+   its last column stands.  Returns -1 at the first symbol outside -1..n-1,
+   before indexing with it, leaving out partly written; else 0. */
+int sebq_positions(const int64_t *a, int64_t m, int64_t n, int64_t *out)
+{
+    for (int64_t i = 0; i < m * n; i++)
+        out[i] = -1;
+    for (int64_t i = 0; i < m; i++)
+        for (int64_t j = 0; j < n; j++) {
+            int64_t s = a[i * n + j];
+            if (s < -1 || s >= n)
+                return -1;
+            if (s >= 0)
+                out[i * n + s] = j;
+        }
+    return 0;
 }
-
-FIRST_REPEAT(sebq_first_repeat, int64_t)
-FIRST_REPEAT(sebq_first_repeat_u8, uint8_t)
-POSITIONS(sebq_positions, int64_t)
-POSITIONS(sebq_positions_u8, uint8_t)
 """
 
 FLAGS = ("-O2", "-shared", "-fPIC")
@@ -316,11 +313,9 @@ _EXPORTS = (
     ("sebq_chain", [_P, ctypes.c_int, _P, _N, _P, _P, _N, ctypes.c_int], None),
     ("sebq_cca2", [_P, _P, ctypes.c_int, _P, _N, _P, _N, _P, _P, _N, _P, _P, _N, ctypes.c_int], None),
     ("sebq_walk", [_P, _P, _P, _I64, _I64, _P, _I64, _P, _I64, _P, _P, _I64], ctypes.c_int),
-    ("sebq_parse_table", [_P, _N, _I64, _P], ctypes.c_int),
+    ("sebq_parse_table", [_P, _N, _I64, _P, _P, _P], ctypes.c_int),
     ("sebq_first_repeat", [_P, _I64, _P], _I64),
     ("sebq_positions", [_P, _I64, _I64, _P], ctypes.c_int),
-    ("sebq_first_repeat_u8", [_P, _I64, _P], _I64),
-    ("sebq_positions_u8", [_P, _I64, _I64, _P], ctypes.c_int),
 )
 
 
@@ -340,9 +335,7 @@ class Kernel:
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = argtypes, restype
             fns.append(fn)
-        self._chain, self._cca2, self._walk, self._parse, self._first_repeat, self._positions, *u8 = fns
-        # the Latin scan and the scatter by grid type: one C body each, built for both types
-        self._scans = {np.dtype(np.int64): (self._first_repeat, self._positions), np.dtype(np.uint8): tuple(u8)}
+        self._chain, self._cca2, self._walk, self._parse, self._first_repeat, self._positions = fns
 
     def run(self, table: np.ndarray, k: int, state, blocks, inverse: bool = False):
         """``(blocks_out, final_state)`` as ``uint8`` arrays, like the Python loops.
@@ -415,8 +408,8 @@ class Kernel:
         if rc < 0:
             raise RuntimeError("internal error: the Latin-square walk would read outside its cells or adds")
 
-    def parse_table(self, body, order: int) -> np.ndarray | None:
-        """The ``order x order`` ``uint8`` table a canonical key-file body holds, else ``None``.
+    def parse_table(self, body, order: int) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """``(mul, ldiv)``, the ``order x order`` ``uint8`` tables of a canonical key-file body, else ``None``.
 
         ``body`` is the text after the order line: bytes, or a buffer of
         them such as a ``memoryview`` slice, read in place.  Canonical is
@@ -424,33 +417,38 @@ class Kernel:
         ``order`` decimal symbols below ``order`` with no leading zeros, one
         space between symbols and ``\\n`` after each row, and nothing
         more.  Any other ``body``, or an ``order`` over 256, gives ``None``.
-        A symbol takes at least two bytes, so a ``body`` too short for the
-        table is refused before the table is allocated: the allocation is
+        ``mul`` is the table as read.  The same pass marks each symbol's
+        row and column: ``ldiv`` is the left-division table of ``mul``, or
+        ``None`` when a row or column of ``mul`` repeats a symbol.  A
+        symbol takes at least two bytes, so a ``body`` too short for the
+        table is refused before the tables are allocated: the allocation is
         bounded by ``body``, not by ``order``.
         """
         if not 1 <= order <= 256 or len(body) < 2 * order * order:
             return None
         body = np.frombuffer(body, dtype=np.uint8)  # a view: the text is not copied
-        table = np.empty((order, order), dtype=np.uint8)
-        if self._parse(body.ctypes.data, body.size, order, table.ctypes.data) < 0:
+        # two tables, not one array of both: a 128 KiB array would get fresh pages on every load
+        mul, ldiv = (np.empty((order, order), dtype=np.uint8) for _ in range(2))
+        seen = np.zeros(order * order, dtype=np.uint8)  # held here: the C side writes to it
+        verdict = self._parse(body.ctypes.data, body.size, order,
+                              mul.ctypes.data, ldiv.ctypes.data, seen.ctypes.data)
+        if verdict < 0:
             return None
-        return table
+        return mul, (None if verdict else ldiv)
 
     def first_repeat(self, grid: np.ndarray) -> int:
         """The first line of ``grid`` that repeats a known symbol: row ``i`` as
         ``i``, else column ``j`` as ``n + j``, else ``-1``.
 
-        ``grid`` is a contiguous ``n x n`` array: ``int64`` of symbols in
-        ``-1..n-1``, whose ``-1`` cells are unknown, or a full ``uint8``
-        square.  A symbol outside that range raises ``ValueError``.  The
-        scan's scratch is ``n * n`` bytes.
+        ``grid`` is a contiguous ``n x n`` ``int64`` array of symbols in
+        ``-1..n-1``; ``-1`` cells are unknown.  A symbol outside that range
+        raises ``ValueError``.  The scan's scratch is ``n * n`` bytes.
         """
         n = grid.shape[0]
-        scan = self._scans.get(grid.dtype)
-        if scan is None or grid.shape != (n, n) or not grid.flags.c_contiguous:
-            raise ValueError("grid must be a contiguous square int64 array, or a uint8 one")
+        if grid.dtype != np.int64 or grid.shape != (n, n) or not grid.flags.c_contiguous:
+            raise ValueError("grid must be a contiguous square int64 array")
         seen = np.zeros(n * n, dtype=np.uint8)  # held here: the C side writes to it
-        line = scan[0](grid.ctypes.data, n, seen.ctypes.data)
+        line = self._first_repeat(grid.ctypes.data, n, seen.ctypes.data)
         if line == -2:
             raise ValueError(f"grid holds a symbol outside -1..{n - 1}")
         return line
@@ -458,24 +456,19 @@ class Kernel:
     def positions(self, grid: np.ndarray) -> np.ndarray:
         """``out[i, s]``, the column of ``s`` in row ``i`` of ``grid``, or ``-1`` where row ``i`` lacks ``s``.
 
-        ``grid`` is a contiguous ``m x n`` array: ``int64`` of symbols in
-        ``-1..n-1``, or ``uint8`` with ``n`` at most 256.  Where a row
-        repeats a symbol its last column stands.  A symbol outside that
-        range raises ``ValueError``.  ``out`` is a new contiguous ``m x n``
-        array of ``grid``'s type; in ``uint8`` a missing symbol reads 255,
-        so only a square whose rows hold every symbol, as a Latin square's
-        do, scatters unambiguously.
+        ``grid`` is a contiguous ``m x n`` ``int64`` array of symbols in
+        ``-1..n-1``; where a row repeats a symbol its last column stands.
+        A symbol outside that range raises ``ValueError``.  ``out`` is a new
+        contiguous ``m x n`` ``int64`` array.
         """
-        scan = self._scans.get(grid.dtype)
-        if scan is None or grid.ndim != 2 or not grid.flags.c_contiguous:
-            raise ValueError("grid must be a contiguous 2-D int64 array, or a uint8 one")
+        if grid.dtype != np.int64 or grid.ndim != 2 or not grid.flags.c_contiguous:
+            raise ValueError("grid must be a contiguous 2-D int64 array")
         m, n = grid.shape
-        if grid.dtype == np.uint8 and n > 256:
-            raise ValueError(f"a uint8 grid's {n} columns do not fit in uint8")
-        out = np.empty((m, n), dtype=grid.dtype)
-        if scan[1](grid.ctypes.data, m, n, out.ctypes.data) < 0:
+        out = np.empty((m, n), dtype=np.int64)
+        if self._positions(grid.ctypes.data, m, n, out.ctypes.data) < 0:
             raise ValueError(f"grid holds a symbol outside -1..{n - 1}")
         return out
+
 
 
 def _cache_dir() -> str:

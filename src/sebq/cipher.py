@@ -86,10 +86,8 @@ class SebqKey:
         Both are held as they are, frozen, with no scan: the caller has
         checked ``mul`` and scattered ``ldiv`` from it.
         """
-        for t in (mul, ldiv):
-            t.setflags(write=False)
         key = object.__new__(cls)
-        key._hold(len(mul), _tables=(mul, ldiv))
+        key._hold(len(mul), _tables=_frozen(mul, ldiv))
         return key
 
     def _hold(self, order: int, **held) -> None:
@@ -118,8 +116,8 @@ class SebqKey:
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The mul and ldiv tables as contiguous ``uint8`` arrays, for the compiled loop."""
-        return tuple(np.ascontiguousarray(t.table, dtype=np.uint8) for t in (self.q.mul, self.q.ldiv))
+        """The mul and ldiv tables as frozen contiguous ``uint8`` arrays, for the compiled loop."""
+        return _frozen(*(np.ascontiguousarray(t.table, dtype=np.uint8) for t in (self.q.mul, self.q.ldiv)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SebqKey):
@@ -135,6 +133,13 @@ class SebqKey:
     @classmethod
     def from_square(cls, square: LatinSquare) -> "SebqKey":
         return cls(Quasigroup.from_square(square))
+
+
+def _frozen(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``tables``, each made read-only: what a key holds, nothing may write to."""
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
 @dataclass(frozen=True)

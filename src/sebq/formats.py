@@ -11,12 +11,13 @@ more.  When the compiled kernel is loaded, a file whose first two lines
 are canonical, with an order that is a power of two up to
 ``2**MAX_SYMBOL_BITS``, has its table read in one pass in C; if the rest
 is not canonical, or with no kernel, the per-row reference parse reads it,
-and only that parse refuses a file.  The compiled parse reads the table as
-``uint8``; the one Latin scan and the left-division scatter take it as it
-is, and the key holds the two ``uint8`` tables, building its ``int64``
-quasigroup only when something asks for ``key.q``.  The reference parse
-builds the key from a :class:`LatinSquare`.  Either way a file gives the
-same key, or the same :class:`KeyFileError`, with the same text.
+and only that parse refuses a file.  The compiled pass reads the table as
+``uint8``, scatters its left-division table and marks each symbol's row
+and column, and the key holds the two ``uint8`` tables, building its
+``int64`` quasigroup only when something asks for ``key.q``; only a table
+that repeats a symbol is scanned again, to name the repeat.  The reference
+parse builds the key from a :class:`LatinSquare`.  Either way a file gives
+the same key, or the same :class:`KeyFileError`, with the same text.
 
 Cipher frame (big-endian): magic ``SEBQ``, version byte, ``k`` (1 byte),
 ``n`` (2 bytes), then for version 2 the expander length ``a`` (2 bytes) and
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sebq import _ckernel, feistel, latin
+from sebq import _ckernel, feistel
 from sebq.cipher import (
     MAX_SYMBOL_BITS,
     PaddingError,
@@ -141,8 +142,9 @@ def _key_from_table(table) -> SebqKey:
 def _canonical_key(data: bytes) -> SebqKey | None:
     """The key of canonical key-file ``data``, read by the compiled kernel; else ``None``.
 
-    The table stays ``uint8`` from the parse to the key: one Latin scan,
-    then the left-division scatter.  A table that is not Latin raises
+    One compiled pass reads the ``uint8`` table, scatters its left-division
+    table and marks each symbol's row and column; the key holds the two
+    tables as they are.  A table that repeats a symbol raises
     :class:`KeyFileError` with the text :class:`LatinSquare` gives.
     """
     kernel = _ckernel.kernel()
@@ -150,14 +152,12 @@ def _canonical_key(data: bytes) -> SebqKey | None:
         return None
     split = data.find(b"\n", len(KEY_HEADER) + 1) + 1
     order = _CANONICAL_HEADS.get(data[:split])
-    mul = None if order is None else kernel.parse_table(memoryview(data)[split:], order)
-    if mul is None:
+    tables = None if order is None else kernel.parse_table(memoryview(data)[split:], order)
+    if tables is None:
         return None
-    try:
-        latin._check_latin(mul)
-    except ValueError as exc:
-        raise KeyFileError(str(exc)) from None
-    return SebqKey._from_tables(mul, kernel.positions(mul))
+    mul, ldiv = tables
+    # a table that repeats a symbol takes the reference path's Latin scan, which names the repeat
+    return _key_from_table(mul) if ldiv is None else SebqKey._from_tables(mul, ldiv)
 
 
 def _reference_table(text: str) -> list[np.ndarray]:

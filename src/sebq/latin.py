@@ -90,14 +90,13 @@ def _as_int_array(table) -> np.ndarray:
     return cast
 
 
-def _as_square_array(table, lowest: int = 0, keep: bool = False) -> np.ndarray:
+def _as_square_array(table, lowest: int = 0) -> np.ndarray:
     """Coerce to an int array and enforce the structural preconditions: a
     non-empty square of symbols in ``lowest..n-1``.
 
-    ``lowest=-1`` admits the unknown cells of a partial grid.  With
-    ``keep``, ``table`` is an array checked as it is, not coerced.
+    ``lowest=-1`` admits the unknown cells of a partial grid.
     """
-    arr = table if keep else _as_int_array(table)
+    arr = _as_int_array(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise StructureError(f"table must be square and non-empty, got shape {arr.shape}")
     n = arr.shape[0]
@@ -113,8 +112,7 @@ def validate_latin_square(table) -> Optional[LatinViolation]:
     Parameters
     ----------
     table : array_like
-        Square array of symbols in ``0..n-1``.  A ``uint8`` array is
-        scanned as it is, without being widened to ``int64``.
+        Square array of symbols in ``0..n-1``.
 
     Returns
     -------
@@ -129,21 +127,19 @@ def validate_latin_square(table) -> Optional[LatinViolation]:
         are structural defects, distinct from Latin-property violations.
     """
     # a line of n symbols in 0..n-1 that repeats none holds each once
-    full = isinstance(table, np.ndarray) and table.dtype == np.uint8
-    return _first_repeat(_as_square_array(table, keep=full))
+    return _first_repeat(_as_square_array(table))
 
 
 def _positions(arr: np.ndarray) -> np.ndarray:
     """Where each symbol sits in each row: the one scatter behind every such question.
 
-    ``arr`` is an ``(m, n)`` ``int64`` array of symbols in ``-1..n-1``, or
-    a ``uint8`` one with ``n`` at most 256.  ``out[i, s]`` is the column of
-    ``s`` in row ``i``, or ``-1`` (255 in ``uint8``) where row ``i`` lacks
-    ``s``.  Where a row repeats a symbol, its last column stands, so the
-    row shows fewer symbols than it has known cells.  On a Latin square
-    each row of ``out`` is the inverse permutation of its row of ``arr``:
-    the left-division table.  The result is a new array of ``arr``'s type,
-    not always contiguous: a caller that needs it so makes it so.
+    ``arr`` is an ``(m, n)`` ``int64`` array of symbols in ``-1..n-1``.
+    ``out[i, s]`` is the column of ``s`` in row ``i``, or ``-1`` where row
+    ``i`` lacks ``s``.  Where a row repeats a symbol, its last column
+    stands, so the row shows fewer symbols than it has known cells.  On a
+    Latin square each row of ``out`` is the inverse permutation of its row
+    of ``arr``: the left-division table.  The result is a new array, not
+    always contiguous: a caller that needs it so makes it so.
 
     Runs as ``sebq_positions`` in C when the compiled kernel loads, else
     in numpy, the reference, where a ``-1`` cell lands in a spare column
@@ -155,23 +151,19 @@ def _positions(arr: np.ndarray) -> np.ndarray:
     m, n = arr.shape
     out = np.full((m, n + 1), -1, dtype=np.int64)
     out[np.arange(m)[:, None], arr] = np.arange(n)
-    return out[:, :n].astype(arr.dtype, copy=False)
+    return out[:, :n]
 
 
 def _first_repeat(arr: np.ndarray) -> Optional[LatinViolation]:
     """The first row, else the first column, where a known symbol repeats.
 
-    ``arr`` is a square ``int64`` array of symbols in ``-1..n-1``, whose
-    cells of ``-1`` are unknown, or a full ``uint8`` square.  The line is
-    found by ``sebq_first_repeat`` in C when the compiled kernel loads, else
-    by :func:`_repeat_line`, the reference, on ``arr`` widened to
-    ``int64``; the symbol reported is the first seen twice on that line.
+    ``arr`` is a square ``int64`` array of symbols in ``-1..n-1``; cells of
+    ``-1`` are unknown.  The line is found by ``sebq_first_repeat`` in C
+    when the compiled kernel loads, else by :func:`_repeat_line`, the
+    reference; the symbol reported is the first seen twice on that line.
     """
     kernel = _kernel()
-    if kernel is None:
-        line = _repeat_line(arr.astype(np.int64, copy=False))
-    else:
-        line = kernel.first_repeat(np.ascontiguousarray(arr))
+    line = _repeat_line(arr) if kernel is None else kernel.first_repeat(np.ascontiguousarray(arr))
     if line < 0:
         return None
     n = arr.shape[0]
@@ -232,8 +224,12 @@ class LatinSquare:
 
     def _hold(self, arr: np.ndarray, checked: bool = False) -> None:
         arr.setflags(write=False)
-        if not checked:
-            _check_latin(arr)
+        violation = None if checked else validate_latin_square(arr)
+        if violation is not None:
+            raise ValueError(
+                f"not a Latin square: symbol {violation.symbol} repeats in "
+                f"{violation.axis} {violation.index}"
+            )
         object.__setattr__(self, "table", arr)
 
     @property
@@ -253,16 +249,6 @@ class LatinSquare:
 
     def __repr__(self) -> str:
         return f"LatinSquare(order={self.order})"
-
-
-def _check_latin(table) -> None:
-    """Raise ``ValueError`` naming the first repeat :func:`validate_latin_square` finds in ``table``, if any."""
-    violation = validate_latin_square(table)
-    if violation is not None:
-        raise ValueError(
-            f"not a Latin square: symbol {violation.symbol} repeats in "
-            f"{violation.axis} {violation.index}"
-        )
 
 
 def parastrophe(square: LatinSquare) -> LatinSquare:

@@ -17,6 +17,7 @@ from sebq.analysis import (
     frequency_test,
     instrumented_counts,
     latin_count_log2,
+    longest_run_test,
     min_secure_order,
     operation_count,
     randomness_suite,
@@ -335,3 +336,30 @@ class TestBatteryPinned:
 def test_avalanche_refuses_an_empty_message(target, kwargs):
     with pytest.raises(ValueError, match=f"^{target} avalanche needs a message of at least one bit, got 0$"):
         avalanche(target, keygen(4, 2), [0], [], **kwargs)
+
+
+# NIST SP 800-22 section 2.4: for block size M, the upper bounds of the
+# longest-run categories but the last (which is open above) and their probabilities
+_NIST_LONGEST_RUN = {
+    128: ((4, 5, 6, 7, 8), (0.1174, 0.2430, 0.2493, 0.1752, 0.1027, 0.1124)),
+    10**4: ((10, 11, 12, 13, 14, 15), (0.0882, 0.2092, 0.2483, 0.1933, 0.1208, 0.0675, 0.0727)),
+}
+
+
+@pytest.mark.parametrize("n, m", [(6272, 128), (750000, 10**4)])
+def test_longest_run_block_sizes_match_a_direct_count(n, m):
+    """The M=128 and M=10**4 branches against a count of each block's longest run of ones as text."""
+    from scipy.special import gammaincc
+
+    text = format(random.Random(n).getrandbits(n), f"0{n}b")
+    bounds, probs = _NIST_LONGEST_RUN[m]
+    counts = [0] * len(probs)
+    for i in range(0, n - m + 1, m):
+        longest = max(map(len, text[i : i + m].split("0")))
+        counts[next((c for c, bound in enumerate(bounds) if longest <= bound), len(bounds))] += 1
+    blocks = n // m
+    chi2 = sum((c - blocks * p) ** 2 / (blocks * p) for c, p in zip(counts, probs))
+    want = gammaincc((len(probs) - 1) / 2, chi2 / 2)
+    got = longest_run_test(np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"))
+    assert got.n_bits == n and not got.skipped
+    assert 0.01 < want < 0.99 and got.p_value == pytest.approx(want, rel=1e-12)

@@ -439,68 +439,27 @@ def test_scan_scratch_is_at_most_n_squared_bytes():
 
 
 @compiled
-def test_uint8_scan_and_scatter_match_int64_entries():
-    """The uint8 instances of the scan and the scatter on every full grid of the corpus."""
+def test_key_parse_verdict_and_ldiv_match_the_int64_scan_and_scatter():
+    """The key-file parse on every full grid of the corpus, written as canonical text."""
     kernel = transforms._kernel()
-    orders = set()
+    orders, verdicts, guard = set(), set(), 64
     for grid in scan_grids():
         if (grid < 0).any():
             continue
-        small = grid.astype(np.uint8)
-        assert kernel.first_repeat(small) == kernel.first_repeat(grid)
-        got = kernel.positions(small)
-        # a missing symbol, -1 in int64, reads 255 in uint8
-        assert got.dtype == np.uint8 and np.array_equal(got, kernel.positions(grid).astype(np.uint8))
-        orders.add(grid.shape[0])
-    assert orders == {*range(1, 13), 16, 32, 64, 128, 256}
-
-
-@compiled
-def test_uint8_validate_and_scatter_take_the_square_as_it_is(monkeypatch):
-    square = latin.random_latin_square(256, 13).table.astype(np.uint8)
-    seen = []
-    for name in ("first_repeat", "positions"):
-        real = getattr(_ckernel.Kernel, name)
-        monkeypatch.setattr(_ckernel.Kernel, name,
-                            lambda self, grid, real=real: seen.append(grid.dtype) or real(self, grid))
-    assert latin.validate_latin_square(square) is None
-    ldiv = latin._positions(square)
-    assert seen == [np.uint8, np.uint8]
-    assert ldiv.dtype == np.uint8 and np.array_equal(ldiv, latin._positions(square.astype(np.int64)))
-
-
-@compiled
-@pytest.mark.parametrize("symbol", [8, 9, 255])
-def test_uint8_scan_and_scatter_refuse_symbols_out_of_range_without_writing_past(symbol):
-    kernel = transforms._kernel()
-    n, guard = 8, 64
-    grid = ((np.arange(n)[:, None] + np.arange(n)) % n).astype(np.uint8)
-    grid[-1, -1] = symbol
-    with pytest.raises(ValueError, match="outside -1..7"):
-        kernel.first_repeat(grid)
-    with pytest.raises(ValueError, match="outside -1..7"):
-        kernel.positions(grid)
-    scan, scatter = kernel._scans[np.dtype(np.uint8)]
-    seen = np.zeros(n * n + guard, dtype=np.uint8)
-    seen[n * n:] = 0xA5
-    assert scan(grid.ctypes.data, n, seen.ctypes.data) == -2
-    assert (seen[n * n:] == 0xA5).all()
-    out = np.full(n * n + guard, 0x5A, dtype=np.uint8)
-    assert scatter(grid.ctypes.data, n, n, out.ctypes.data) == -1
-    assert (out[n * n:] == 0x5A).all()
-
-
-@compiled
-def test_uint8_scatter_refuses_columns_past_255():
-    with pytest.raises(ValueError, match="do not fit in uint8"):
-        transforms._kernel().positions(np.zeros((1, 257), dtype=np.uint8))
-
-
-def test_uint8_squares_check_and_scatter_alike_on_the_numpy_reference(monkeypatch):
-    full = [grid for grid in scan_grids() if (grid >= 0).all() and grid.shape[0] <= 16]
-    monkeypatch.setattr(latin, "_kernel", lambda: None)
-    for grid in full:
-        small = grid.astype(np.uint8)
-        assert latin.validate_latin_square(small) == latin.validate_latin_square(grid)
-        got = latin._positions(small)
-        assert got.dtype == np.uint8 and np.array_equal(got, latin._positions(grid).astype(np.uint8))
+        n = grid.shape[0]
+        body = "".join(" ".join(map(str, row)) + "\n" for row in grid.tolist()).encode()
+        mul, ldiv = kernel.parse_table(body, n)
+        is_latin = kernel.first_repeat(grid) == -1
+        assert np.array_equal(mul, grid) and (ldiv is not None) == is_latin
+        if is_latin:
+            assert np.array_equal(ldiv, kernel.positions(grid))
+        # the raw entry on the body, cut short and run on, with mul, ldiv and seen each followed by a guard
+        for text, want in ((body, int(not is_latin)), (body[:-1], -1), (body + b"0", -1)):
+            buffers = [np.full(n * n + guard, 0xA5, dtype=np.uint8) for _ in range(3)]
+            buffers[2][: n * n] = 0
+            text = np.frombuffer(text, dtype=np.uint8)
+            assert kernel._parse(text.ctypes.data, text.size, n, *(b.ctypes.data for b in buffers)) == want
+            assert all((b[n * n:] == 0xA5).all() for b in buffers)
+        orders.add(n)
+        verdicts.add(is_latin)
+    assert orders == {*range(1, 13), 16, 32, 64, 128, 256} and verdicts == {True, False}

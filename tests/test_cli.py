@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from sebq.analysis import MAX_COUNTED_LOOKUPS, MAX_MESSAGE_BITS, MAX_TARGET_BITS
-from sebq.cipher import encrypt, pack_bits
+from sebq.cipher import encrypt, pack_bits, pad
 from sebq.cli import MAX_ATTACK_TRIALS, build_parser, main
 from sebq.formats import decode_frame, encode_frame, load_key
 
@@ -110,6 +110,18 @@ class TestCrypt:
         bad.write_bytes(blob)
         code, _, _ = run(capsys, "decrypt", "--key", str(key_path), "--in", str(bad), "--out", str(tmp_path / "o"))
         assert code == 4
+
+    def test_bit_length_not_byte_aligned_exits_3(self, capsys, tmp_path, key_path):
+        # a v1 frame of 7 plaintext bits, padded as seal_bytes pads: only the byte check refuses it
+        key = load_key(key_path)
+        iv = (1, 2)
+        ct = encrypt(key, iv, pad([1, 0, 1, 1, 0, 0, 1], key.k))
+        bad = tmp_path / "bits.sebq"
+        bad.write_bytes(encode_frame(key, iv, 7, pack_bits(ct, key.k)))
+        code, out, err = run(capsys, "decrypt", "--key", str(key_path), "--in", str(bad), "--out", str(tmp_path / "o"))
+        assert code == 3 and out == ""
+        assert err == "error: corrupt frame: plaintext bit length is not byte-aligned\n"
+        assert not (tmp_path / "o").exists()
 
     def test_key_mismatch_exits_5(self, capsys, tmp_path, key_path):
         other = tmp_path / "k2.lsq"
@@ -626,3 +638,72 @@ class TestAnalysisSizeCaps:
         code, out, err = run(capsys, "analyze", *argv, "--seed", "1")
         assert code == 1 and out == ""
         assert err == f"error: {bits // 400} encryptions of 400 bits is over the cap of {bits - 1} bits\n"
+
+
+# the argv sweep: each command from a base case whose work is tiny, one option
+# changed at a time.  {tmp} is the case's own directory, and {key}, {msg} and
+# {frame} a k=2 key, an 8-byte message and its plain frame under that key
+_INTS = ("0", "1", "-1", str(2**31), str(2**64 + 1), str(10**20), "1.5", "x", "")
+_OUTS = ("{tmp}/no/dir/out", "{tmp}", "")
+_INS = ("{tmp}/missing", "{tmp}", "")
+_SWEEP = {
+    "keygen": {"--k": ("1", _INTS), "--seed": ("1", _INTS), "--out": ("{tmp}/k.lsq", _OUTS)},
+    "encrypt": {
+        "--key": ("{key}", _INS), "--in": ("{msg}", _INS), "--out": ("{tmp}/f", _OUTS),
+        "--n": ("2", _INTS), "--a": ("4", _INTS), "--seed": ("1", _INTS),
+        "--scheme": ("cca2", ("plain", "x", "")), "--iv-hex": (None, ("", "0", "zz", "00", "ff" * 9)),
+    },
+    "decrypt": {"--key": ("{key}", _INS), "--in": ("{frame}", _INS), "--out": ("{tmp}/p", _OUTS)},
+    "analyze stats": {
+        "--k": ("1", _INTS), "--n": ("1", _INTS), "--bits": ("128", _INTS), "--trials": ("1", _INTS),
+        "--alpha": ("0.01", ("0", "1", "-1", "nan", "inf", "-inf", "1.5", "x", "")),
+        "--plaintext": ("zeros", ("random", "x", "")), "--seed": ("1", _INTS),
+        "--out": ("{tmp}/s.csv", _OUTS), "--json": ("{tmp}/s.json", _OUTS),
+    },
+    "analyze avalanche": {
+        "--target": ("plaintext", ("iv", "key", "x", "")), "--k": ("1", _INTS), "--n": ("1", _INTS),
+        "--bits": ("16", _INTS), "--trials": ("1", _INTS), "--positions": ("1", _INTS),
+        "--seed": ("1", _INTS), "--out": ("{tmp}/a.csv", _OUTS), "--json": ("{tmp}/a.json", _OUTS),
+    },
+    "analyze opcount": {"--n": ("1", _INTS), "--k": ("1", _INTS), "--l": ("1", _INTS), "--seed": ("1", _INTS)},
+    "analyze secure-order": {"--bits": ("8", _INTS), "--ops": ("1", _INTS), "--json": ("{tmp}/o.json", _OUTS)},
+    "attack cpa-column": {"--k": ("1", _INTS), "--message": ("0", _INTS), "--seed": ("1", _INTS)},
+    "attack cca-recover": {
+        "--k": ("1", _INTS), "--scheme": ("cca2", ("plain", "x", "")), "--a": (None, _INTS),
+        "--trials": ("2", _INTS), "--seed": ("1", _INTS), "--transcript": ("{tmp}/t.jsonl", _OUTS),
+    },
+}
+
+
+def _sweep_cases():
+    for command, options in _SWEEP.items():
+        base = {opt: value for opt, (value, _) in options.items() if value is not None}
+        yield pytest.param(command, base, True, id=f"{command} base")
+        for opt, (_, values) in options.items():
+            for value in values:
+                yield pytest.param(command, {**base, opt: value}, False, id=f"{command} {opt}={value}")
+
+
+class TestArgvSweep:
+    """Every option of every command, changed one at a time from a tiny base case, ends in a
+    documented exit code with at most one ``error:`` line and no traceback."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("sweep")
+        key, msg, frame = root / "key.lsq", root / "msg.bin", root / "msg.sebq"
+        assert main(["keygen", "--k", "2", "--seed", "1", "--out", str(key)]) == 0
+        msg.write_bytes(b"8 bytes.")
+        assert main(["encrypt", "--key", str(key), "--in", str(msg), "--out", str(frame), "--n", "2"]) == 0
+        return {"key": key, "msg": msg, "frame": frame}
+
+    @pytest.mark.parametrize("command, options, is_base", _sweep_cases())
+    def test_ends_in_a_documented_exit_code(self, capsys, tmp_path, files, command, options, is_base):
+        argv = command.split()
+        for opt, value in options.items():
+            argv += [opt, value.format(tmp=tmp_path, **files)]
+        capsys.readouterr()
+        code, out, err = run(capsys, *argv)
+        assert code == 0 if is_base else code in range(6), argv
+        assert sum("error:" in line for line in err.splitlines()) <= 1, err
+        assert "Traceback" not in out + err

@@ -7,7 +7,7 @@ import pytest
 
 import sebq.latin
 from sebq import _ckernel, formats
-from sebq.cipher import PaddingError, decrypt, encrypt, keygen, pack_bits, pad, unpack_bits
+from sebq.cipher import PaddingError, SebqKey, decrypt, encrypt, keygen, pack_bits, pad, unpack_bits
 from sebq.feistel import QuasigroupSponge
 from sebq.formats import (
     BadMagic,
@@ -90,6 +90,16 @@ class TestOneLatinScanPerKey:
             return real(table)
 
         monkeypatch.setattr(sebq.latin, "validate_latin_square", counting)
+        # the compiled parse marks rows and columns as it reads: a table it returns was scanned
+        parse = _ckernel.Kernel.parse_table
+
+        def counting_parse(self, body, order):
+            tables = parse(self, body, order)
+            if tables is not None:
+                calls.append(1)
+            return tables
+
+        monkeypatch.setattr(_ckernel.Kernel, "parse_table", counting_parse)
         return calls
 
     def test_keygen(self, scans):
@@ -342,6 +352,45 @@ class TestKeyLoadStaysUint8:
         assert "q" not in vars(key)
 
 
+class TestKeysHoldFrozenTables:
+    """A key from every path holds read-only tables, and compares, hashes and prints alike."""
+
+    @pytest.fixture(params=[1, 4, 8])
+    def keys(self, request, tmp_path, monkeypatch):
+        key = keygen(request.param, 800 + request.param)
+        path = tmp_path / "key.lsq"
+        save_key(path, key)
+        made = {"keygen": key, "SebqKey(q)": SebqKey(key.q), "compiled load": load_key(path)}
+        with monkeypatch.context() as m:
+            m.setattr(_ckernel, "kernel", lambda: None)
+            made["reference load"] = load_key(path)
+        return made
+
+    def test_tables_are_read_only(self, keys):
+        for name, key in keys.items():
+            for table in key._tables:
+                assert table.dtype == np.uint8 and not table.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0, 0] = 1
+
+    def test_equal_keys_compare_equal_and_hash_alike(self, keys):
+        first, *rest = keys.values()
+        other = SebqKey.from_square(sebq.latin.LatinSquare(first.q.mul.table[::-1]))
+        for key in rest:
+            assert key == first and hash(key) == hash(first)
+            assert key != other
+        assert len(set(keys.values())) == 1
+
+    def test_assignment_raises(self, keys):
+        for key in keys.values():
+            for name in ("order", "k", "q", "_tables", "anything"):
+                with pytest.raises(AttributeError):
+                    setattr(key, name, None)
+
+    def test_repr_names_the_order(self, keys):
+        assert {repr(key) for key in keys.values()} == {f"SebqKey(order={next(iter(keys.values())).order})"}
+
+
 class TestFrameCodec:
     def test_v1_round_trip(self):
         key = keygen(4, 3)
@@ -443,6 +492,14 @@ class TestSealOpen:
         blob = encode_frame(key, tuple(iv), 11, pack_bits(ct, 4))
         with pytest.raises(PaddingError):
             open_bytes(key, blob)
+
+    def test_bit_length_not_byte_aligned_refused(self):
+        # 7 plaintext bits padded 1 0* to two 4-bit symbols: the padding is consistent with the header
+        key = keygen(4, 9)
+        iv = (1, 2)
+        ct = encrypt(key, iv, pad([1, 0, 1, 1, 0, 0, 1], 4))
+        with pytest.raises(FrameError, match="^plaintext bit length is not byte-aligned$"):
+            open_bytes(key, encode_frame(key, iv, 7, pack_bits(ct, 4)))
 
     def test_external_expander_id_rejected(self):
         key = keygen(2, 4)
